@@ -21,6 +21,7 @@ from .catalog import (
 )
 from .errors import (
     DegreeMismatch,
+    InvariantViolation,
     LoopforgeError,
     NoIdentity,
     NotLatin,
@@ -46,6 +47,7 @@ from .isotopy import (
     principal_isotope,
     s_isomorphisms,
     smarandache_principal_isotope,
+    transport_autotopisms,
 )
 from .loop_core import (
     LoopTable,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import OrderTooLarge, ParseError
+from .errors import InvariantViolation, OrderTooLarge, ParseError
 from .loop_core import LoopTable, format_table, parse_table, s_subgroups, validate_table
 from .perm import Perm
 
@@ -41,7 +41,8 @@ class CatalogEntry:
     entry_id: str
 
     def __post_init__(self):
-        assert self.loop.e == 0, "catalog entries must be normalized"
+        if self.loop.e != 0:
+            raise InvariantViolation("catalog entries must be normalized")
 
 
 def normalize(L: LoopTable) -> tuple[LoopTable, Perm]:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,9 +63,9 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _verification_doc(path: str, L: LoopTable, ver: LoopVerification) -> dict:
+def _report_doc(L: LoopTable, ver: LoopVerification) -> dict:
+    """Everything in a loop's report but its "file" path, which the caller adds."""
     return {
-        "file": str(path),
         "id": catalog.content_id(L),
         "order": L.n,
         "subgroups": [list(rep.subgroup) for rep in ver.reports],
@@ -86,60 +87,55 @@ def _select_reports(ver: LoopVerification, subgroup: list[int] | None, L: LoopTa
     return chosen
 
 
+def _checks_from_doc(doc: dict) -> dict:
+    return {key: CheckResult(**val) for key, val in doc.items()}
+
+
 def _verification_from_doc(doc: dict) -> LoopVerification:
     """Rebuild a verification from its JSON form (used on cache hits)."""
-    reports = []
-    for sub, rep in zip(doc["subgroups"], doc["reports"]):
-        checks = {
-            key: CheckResult(val["status"], val["detail"])
-            for key, val in rep["checks"].items()
-        }
-        reports.append(
-            CardinalityReport(
-                subgroup=tuple(sub),
-                order=rep["order"],
-                h=rep["h"],
-                bs=rep["bs"],
-                sbs=rep["sbs"],
-                ssym=rep["ssym"],
-                aum=rep["aum"],
-                sa=rep["sa"],
-                aut=rep["aut"],
-                omega=rep["omega"],
-                theta=rep["theta"],
-                n_mu=rep["n_mu"],
-                n_mu_cap_h=rep["n_mu_cap_h"],
-                ker_phi=rep["ker_phi"],
-                checks=checks,
-            )
-        )
+    reports = [
+        CardinalityReport(subgroup=tuple(sub), **{**rep, "checks": _checks_from_doc(rep["checks"])})
+        for sub, rep in zip(doc["subgroups"], doc["reports"])
+    ]
     agg = doc["aggregate"]
     aggregate = AggregateReport(
-        order=agg["order"],
-        s_subgroup_count=agg["s_subgroups"],
-        bs=agg["bs"],
-        checks={
-            key: CheckResult(val["status"], val["detail"])
-            for key, val in agg["checks"].items()
-        },
+        agg["order"], agg["s_subgroups"], agg["bs"], _checks_from_doc(agg["checks"])
     )
     return LoopVerification(tuple(reports), aggregate)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file and os.replace, so that concurrent
+    writers of the same path never leave a torn file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _verify_file(path: str, cap: int) -> tuple[LoopTable, LoopVerification, str]:
-    """Verify one table file, consulting the report cache when configured."""
+    """Verify one table file, consulting the report cache when configured.
+
+    The cache stores path-free reports, keyed by content id; the "file"
+    field always names the path being verified.
+    """
     L = catalog.read_table(path)
-    entry_id = catalog.content_id(L)
     cache = catalog.report_cache_dir()
-    cache_path = cache / f"{entry_id}.report.json" if cache else None
+    cache_path = cache / f"{catalog.content_id(L)}.report.json" if cache else None
     if cache_path is not None and cache_path.exists():
-        text = cache_path.read_text(encoding="ascii")
-        return L, _verification_from_doc(json.loads(text)), text
-    ver = verify_theorems(L, cap=cap)
-    text = json.dumps(_verification_doc(path, L, ver), indent=2) + "\n"
-    if cache_path is not None:
-        cache_path.write_text(text, encoding="ascii")
-    return L, ver, text
+        doc = json.loads(cache_path.read_text(encoding="ascii"))
+        doc.pop("file", None)  # caches written before reports were path-free
+        ver = _verification_from_doc(doc)
+    else:
+        ver = verify_theorems(L, cap=cap)
+        doc = _report_doc(L, ver)
+        if cache_path is not None:
+            _write_atomic(cache_path, json.dumps(doc, indent=2) + "\n")
+    return L, ver, json.dumps({"file": str(path), **doc}, indent=2) + "\n"
 
 
 def cmd_validate(args) -> int:
@@ -178,7 +174,7 @@ def cmd_analyze(args) -> int:
     ):
         failed = True
     if cfg.output_format == "json":
-        doc = _verification_doc(args.file, L, ver)
+        doc = {"file": str(args.file), **_report_doc(L, ver)}
         if subgroup is not None:
             keep = [list(rep.subgroup) for rep in chosen]
             doc["subgroups"] = keep

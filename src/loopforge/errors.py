@@ -21,6 +21,11 @@ class DegreeMismatch(LoopforgeError):
     """Permutations of different degrees were combined."""
 
 
+class InvariantViolation(LoopforgeError, AssertionError):
+    """An internal consistency check failed.  Raised explicitly, so python -O
+    keeps it; an AssertionError too, for callers that catch those."""
+
+
 class NotSElements(LoopforgeError):
     """An isotope parameter lies outside the chosen subgroup."""
 

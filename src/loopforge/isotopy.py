@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSElements, SearchCapExceeded
+from .errors import InvariantViolation, NotSElements, SearchCapExceeded
 from .loop_core import LoopTable, SLoopContext, SubgroupSet, subgroup_violation, validate_table
-from .perm import Perm, compose, identity, inverse
+from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
 DEFAULT_SEARCH_CAP = 10
 
@@ -58,6 +58,15 @@ def identity_autotopism(n: int) -> Autotopism:
     return Autotopism(i, i, i)
 
 
+def autotopism_set_violation(auts, n: int) -> str | None:
+    """Why a set of degree-n triples is not a group under composition, or None."""
+    return group_violation(
+        [a.key() for a in auts],
+        lambda a, b: tuple(map(compose_images, a, b)),
+        identity_autotopism(n).key(),
+    )
+
+
 @dataclass(frozen=True)
 class PrincipalIsotopeRecord:
     """A source loop, the pair (f, g), and the resulting isotope."""
@@ -81,7 +90,8 @@ def principal_isotope(L: LoopTable, f: int, g: int) -> PrincipalIsotopeRecord:
     rd = L.rdiv
     raw = [[t[rd[x][g]][ld[y]] for y in range(n)] for x in range(n)]
     result = validate_table(raw)
-    assert result.e == t[f][g]
+    if result.e != t[f][g]:
+        raise InvariantViolation(f"isotope ({f}, {g}) has identity {result.e}, not {t[f][g]}")
     return PrincipalIsotopeRecord(L, f, g, result)
 
 
@@ -97,7 +107,8 @@ def smarandache_principal_isotope(
         raise NotSElements(f"({f}, {g}) not inside the subgroup {list(ctx.h.elements)}")
     record = principal_isotope(ctx.loop, f, g)
     violation = subgroup_violation(record.result, ctx.h.elements)
-    assert violation is None, f"subgroup lost under isotopy: {violation}"
+    if violation is not None:
+        raise InvariantViolation(f"subgroup lost under isotopy: {violation}")
     new_h = SubgroupSet(ctx.h.elements, record.result)
     return record, SLoopContext(record.result, new_h)
 
@@ -193,7 +204,8 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
             w_imgs = tuple(t[u[i]][b] for i in range(n))
             v_imgs = tuple(ld[a][wv] for wv in w_imgs)
             cand = Autotopism(Perm(u), Perm(v_imgs), Perm(w_imgs))
-            assert cand.holds_for(L)
+            if not cand.holds_for(L):
+                raise InvariantViolation(f"search produced a non-autotopism {cand.key()}")
             results.append(cand)
             return
         for v in range(n):
@@ -210,22 +222,34 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
         dfs(0, b)
 
     results.sort(key=Autotopism.key)
-    keys = {a.key() for a in results}
-    assert identity_autotopism(n).key() in keys
-    for a in results:
-        assert autotopism_inverse(a).key() in keys, "autotopism set not closed under inverse"
-    uu = [a.u.images for a in results]
-    vv = [a.v.images for a in results]
-    ww = [a.w.images for a in results]
-    for i in range(len(results)):
-        for j in range(len(results)):
-            prod = (
-                tuple(uu[j][x] for x in uu[i]),
-                tuple(vv[j][x] for x in vv[i]),
-                tuple(ww[j][x] for x in ww[i]),
-            )
-            assert prod in keys, "autotopism set not closed under composition"
+    violation = autotopism_set_violation(results, n)
+    if violation is not None:
+        raise InvariantViolation(f"autotopism set is not a group: {violation}")
     return results
+
+
+def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord) -> list[Autotopism]:
+    """The autotopism group of record.result, carried over from record.source.
+
+    aut must be the autotopism group of the source.  (R_g, L_f, id) is an
+    isotopy from the source onto its f,g-principal isotope, so each
+    (U, V, W) in aut becomes (R_g.U.R_g^-1, L_f.V.L_f^-1, W), read right to
+    left.  Every carried triple is checked against the isotope's own table.
+    """
+    L = record.source
+    t, rd, g = L.table, L.rdiv, record.g
+    row_f, ld_f = t[record.f], L.ldiv[record.f]
+    out = []
+    for a in aut:
+        ui, vi = a.u.images, a.v.images
+        u = Perm(t[ui[rd[x][g]]][g] for x in range(L.n))
+        v = Perm(row_f[vi[ld_f[y]]] for y in range(L.n))
+        carried = Autotopism(u, v, a.w)
+        if not carried.holds_for(record.result):
+            raise InvariantViolation(f"carried triple {carried.key()} fails on the isotope")
+        out.append(carried)
+    out.sort(key=Autotopism.key)
+    return out
 
 
 def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
@@ -273,9 +297,8 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
                 x = i
                 break
         if x == -1:
-            assert all(
-                t2[img[a]][img[b]] == img[t1[a][b]] for a in range(n) for b in range(n)
-            )
+            if any(t2[img[a]][img[b]] != img[t1[a][b]] for a in range(n) for b in range(n)):
+                raise InvariantViolation(f"search produced a non-isomorphism {img}")
             found.append(Perm(img))
             return
         for v in range(n):
@@ -294,8 +317,13 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
 
 
 def automorphism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
-    """All A with (A, A, A) an autotopism of L."""
-    return isomorphisms(L, L, cap=cap)
+    """All A with (A, A, A) an autotopism of L: the diagonal of AUT."""
+    return diagonal(autotopism_group(L, cap=cap))
+
+
+def diagonal(aut: list[Autotopism]) -> list[Perm]:
+    """The automorphisms among a list of autotopisms, in list order."""
+    return [a.w for a in aut if a.u == a.v == a.w]
 
 
 def s_isomorphisms(
@@ -313,10 +341,7 @@ def s_isomorphisms(
     h2 = set(ctx2.h.elements)
     out = []
     for a in isomorphisms(ctx1.loop, ctx2.loop, cap=cap):
-        image = [a.images[x] for x in ctx1.h.elements]
-        if any(v not in h2 for v in image):
-            continue
-        if onto and set(image) != h2:
-            continue
-        out.append(a)
+        image = {a.images[x] for x in ctx1.h.elements}
+        if image <= h2 and (not onto or image == h2):
+            out.append(a)
     return out

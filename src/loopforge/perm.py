@@ -53,8 +53,45 @@ def compose(p: Perm, q: Perm) -> Perm:
     """The permutation sending x to the q-image of the p-image of x."""
     if p.degree != q.degree:
         raise DegreeMismatch(f"degree {p.degree} composed with degree {q.degree}")
-    qi = q.images
-    return Perm(qi[v] for v in p.images)
+    return Perm(compose_images(p.images, q.images))
+
+
+def compose_images(p: tuple, q: tuple) -> tuple:
+    """compose on bare image tuples, without validation."""
+    return tuple(map(q.__getitem__, p))
+
+
+def group_violation(members, product, one) -> str | None:
+    """Why a finite set of hashable elements is not a group, or None.
+
+    Walks the members in order; each one not yet generated becomes a
+    generator, and every generated element is multiplied by every generator
+    once.  Each new generator at least doubles the subgroup generated so
+    far, so a group costs O(|G| log |G|) products.  A finite set closed
+    under the product is a group, so inverses need no separate check.  The
+    walk stops at the first product that leaves the set.
+    """
+    keys = set(members)
+    if one not in keys:
+        return "identity missing"
+    reached = [one]
+    seen = {one}
+    gens = []
+    for s in members:
+        if s in seen:
+            continue
+        gens.append(s)
+        old = len(reached)
+        for i, x in enumerate(reached):  # runs on over elements appended below
+            # Elements reached before s already met the older generators.
+            for g in gens if i >= old else gens[-1:]:
+                y = product(x, g)
+                if y not in seen:
+                    if y not in keys:
+                        return f"product of {x} and {g} missing"
+                    seen.add(y)
+                    reached.append(y)
+    return None
 
 
 def inverse(p: Perm) -> Perm:

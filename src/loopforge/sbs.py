@@ -7,29 +7,34 @@ construction with f, g in H and theta stabilizing H yields the Smarandache
 variant SBS, the witness triples form the set omega, and projecting omega
 onto its third component is a homomorphism onto SBS whose kernel is pinned
 by the middle nucleus.
+
+Every autotopism (U, V, W) has this special shape with theta = W and
+witness (f, g) = (U(e), V(e)), so all of these objects are projections or
+filters of one autotopism_group result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import NotSLoop
+from .errors import InvariantViolation, NotSLoop
 from .isotopy import (
     DEFAULT_SEARCH_CAP,
     Autotopism,
     _check_cap,
     autotopism_group,
-    autotopism_inverse,
     autotopism_product,
+    autotopism_set_violation,
     automorphism_group,
+    diagonal,
+    isomorphisms,
     principal_isotope,
-    s_isomorphisms,
-    smarandache_principal_isotope,
+    transport_autotopisms,
 )
-from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups
-from .perm import Perm, compose, identity, inverse
+from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
+from .perm import Perm, compose, compose_images, group_violation, identity
 
 CHECK_KEYS = (
     "t10", "c11", "t12", "t12_1", "t8", "t13", "t14", "t15",
@@ -58,13 +63,14 @@ class OmegaElement:
 
 @dataclass(frozen=True)
 class GroupOfPerms:
-    """A labelled, sorted, closure-checked collection of permutations."""
+    """A labelled, sorted collection of permutations forming a group."""
 
     members: tuple
     label: str
 
     def __post_init__(self):
-        assert self.label in GROUP_LABELS, self.label
+        if self.label not in GROUP_LABELS:
+            raise InvariantViolation(f"unknown group label {self.label!r}")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -80,22 +86,16 @@ class GroupOfPerms:
 
 
 def check_perm_group(perms) -> str | None:
-    """Closure/identity/inverse violation for equal-degree perms, or None."""
-    members = list(perms)
+    """Closure/identity violation for equal-degree perms, or None."""
+    members = [p.images for p in perms]
     if not members:
         return "empty set"
-    n = members[0].degree
-    keys = {p.images for p in members}
-    if identity(n).images not in keys:
-        return "identity missing"
-    for p in members:
-        if inverse(p).images not in keys:
-            return f"inverse of {p.images} missing"
-    for p in members:
-        for q in members:
-            if compose(p, q).images not in keys:
-                return f"product of {p.images} and {q.images} missing"
-    return None
+    return group_violation(members, compose_images, tuple(range(len(members[0]))))
+
+
+def _keeps(p: Perm, hset) -> bool:
+    """Whether p maps the subgroup into (hence onto) itself."""
+    return all(p.images[x] in hset for x in hset)
 
 
 def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
@@ -110,15 +110,11 @@ def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
     rest = [x for x in range(n) if x not in set(h)]
     members = []
     for ph in itertools.permutations(h):
-        base = [-1] * n
-        for src, dst in zip(h, ph):
-            base[src] = dst
         for pr in itertools.permutations(rest):
-            imgs = list(base)
-            for src, dst in zip(rest, pr):
+            imgs = [0] * n
+            for src, dst in zip(h + rest, ph + pr):
                 imgs[src] = dst
             members.append(Perm(imgs))
-    assert len(members) == math.factorial(len(h)) * math.factorial(n - len(h))
     members.sort(key=lambda p: p.images)
     return GroupOfPerms(tuple(members), "SSYM")
 
@@ -145,99 +141,68 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list:
     in the test suite as an oracle.
     """
     te = theta.images[L.e]
-    ld = L.ldiv
-    if restrict_to is not None:
-        domain = restrict_to.elements
-        allowed = set(domain)
-    else:
-        domain = range(L.n)
-        allowed = None
+    domain = range(L.n) if restrict_to is None else restrict_to.elements
     out = []
     for f in domain:
-        g = ld[f][te]
-        if allowed is not None and g not in allowed:
-            continue
-        if _special_law_holds(L, theta.images, f, g):
+        g = L.ldiv[f][te]
+        if g in domain and _special_law_holds(L, theta.images, f, g):
             out.append(SpecialMapWitness(theta, f, g))
     return out
 
 
+def _omega_of(aut: list[Autotopism], e: int, hset) -> list[OmegaElement]:
+    """The triples of aut with U(e), V(e) in H and W(H) inside H, each with
+    its witness (U(e), V(e)), in aut's order."""
+    out = []
+    for a in aut:
+        f, g = a.u.images[e], a.v.images[e]
+        if f in hset and g in hset and _keeps(a.w, hset):
+            out.append(OmegaElement(a, SpecialMapWitness(a.w, f, g)))
+    return out
+
+
+def _isotope_isomorphisms(L: LoopTable, h: tuple, cap: int) -> list[tuple]:
+    """((f, g), isotope record, isomorphisms from L onto the isotope) for
+    every pair in h x h."""
+    out = []
+    for f in h:
+        for g in h:
+            record = principal_isotope(L, f, g)
+            out.append(((f, g), record, isomorphisms(L, record.result, cap=cap)))
+    return out
+
+
+def _theta_of(isos: list[tuple], hset) -> list[tuple[int, int]]:
+    # An H-preserving isomorphism onto the isotope inverts to one back.
+    return [pair for pair, _, found in isos if any(_keeps(a, hset) for a in found)]
+
+
 def bs_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
-    """The Bryant-Schneider group: every permutation with a witness pair."""
-    n = L.n
-    _check_cap(n, cap)
-    t = L.table
-    ld = L.ldiv
-    rd = L.rdiv
-    e = L.e
-    members = []
-    for imgs in itertools.permutations(range(n)):
-        te = imgs[e]
-        for f in range(n):
-            if _special_law_holds(L, imgs, f, ld[f][te]):
-                members.append(Perm(imgs))
-                break
-    violation = check_perm_group(members)
-    assert violation is None, f"BS is not a group: {violation}"
-    return GroupOfPerms(tuple(members), "BS")
+    """The Bryant-Schneider group: third components of the autotopisms."""
+    return GroupOfPerms(tuple(sorted({a.w for a in autotopism_group(L, cap=cap)})), "BS")
 
 
 def sbs_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
-    """The Smarandache Bryant-Schneider group relative to ctx.h.
-
-    Members are subgroup-stabilizing permutations with a witness pair drawn
-    from the subgroup itself.
-    """
-    members = [
-        theta
-        for theta in ssym(ctx, cap=cap)
-        if special_witnesses(ctx.loop, theta, restrict_to=ctx.h)
-    ]
-    violation = check_perm_group(members)
-    assert violation is None, f"SBS is not a group: {violation}"
-    return GroupOfPerms(tuple(members), "SBS")
+    """The Smarandache Bryant-Schneider group relative to ctx.h: the third
+    components of omega."""
+    return GroupOfPerms(tuple(sorted({el.autotopism.w for el in omega(ctx, cap=cap)})), "SBS")
 
 
 def sa_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
     """Subgroup-stabilizing automorphisms: the intersection of SSYM and AUM."""
     hset = set(ctx.h.elements)
-    members = [
-        a
-        for a in automorphism_group(ctx.loop, cap=cap)
-        if all(a.images[x] in hset for x in hset)
-    ]
-    violation = check_perm_group(members)
-    assert violation is None, f"SA is not a group: {violation}"
+    members = [a for a in automorphism_group(ctx.loop, cap=cap) if _keeps(a, hset)]
     return GroupOfPerms(tuple(members), "SA")
 
 
 def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[OmegaElement]:
     """All autotopisms (theta . R_g^-1, theta . L_f^-1, theta) with f, g in
-    the subgroup and theta stabilizing it, one element per distinct triple."""
+    the subgroup and theta stabilizing it, sorted by triple."""
     L = ctx.loop
-    n = L.n
-    _check_cap(n, cap)
-    ld = L.ldiv
-    rd = L.rdiv
-    elements = []
-    seen = set()
-    for theta in ssym(ctx, cap=cap):
-        for wit in special_witnesses(L, theta, restrict_to=ctx.h):
-            u = Perm(rd[theta.images[x]][wit.g] for x in range(n))
-            v = Perm(ld[wit.f][theta.images[y]] for y in range(n))
-            triple = Autotopism(u, v, theta)
-            key = triple.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            assert triple.holds_for(L)
-            elements.append(OmegaElement(triple, wit))
-    elements.sort(key=lambda el: el.autotopism.key())
-    for el in elements:
-        assert autotopism_inverse(el.autotopism).key() in seen, "omega not closed under inverse"
-        for other in elements:
-            prod = autotopism_product(el.autotopism, other.autotopism)
-            assert prod.key() in seen, "omega not closed under composition"
+    elements = _omega_of(autotopism_group(L, cap=cap), L.e, set(ctx.h.elements))
+    violation = autotopism_set_violation([el.autotopism for el in elements], L.n)
+    if violation is not None:
+        raise InvariantViolation(f"omega is not a group: {violation}")
     return elements
 
 
@@ -248,14 +213,7 @@ def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[in
     subgroup-preserving isomorphism onto the original loop.  (e, e) always
     qualifies via the identity map.
     """
-    _check_cap(ctx.loop.n, cap)
-    pairs = []
-    for f in ctx.h.elements:
-        for g in ctx.h.elements:
-            _, ictx = smarandache_principal_isotope(ctx, f, g)
-            if s_isomorphisms(ictx, ctx, cap=cap):
-                pairs.append((f, g))
-    return pairs
+    return _theta_of(_isotope_isomorphisms(ctx.loop, ctx.h.elements, cap), set(ctx.h.elements))
 
 
 def phi_project(x: OmegaElement) -> Perm:
@@ -268,7 +226,7 @@ def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[OmegaEleme
     """Omega elements whose third component is the identity.
 
     Each kernel element's witness satisfies g * f = e with g in the middle
-    nucleus; both facts are asserted.
+    nucleus; both facts are checked.
     """
     L = ctx.loop
     ide = identity(L.n)
@@ -276,8 +234,10 @@ def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[OmegaEleme
     out = [el for el in omega(ctx, cap=cap) if el.autotopism.w == ide]
     for el in out:
         f, g = el.witness.f, el.witness.g
-        assert L.table[g][f] == L.e, f"kernel witness ({f}, {g}) has g*f != e"
-        assert g in nucleus, f"kernel witness g={g} outside the middle nucleus"
+        if L.table[g][f] != L.e:
+            raise InvariantViolation(f"kernel witness ({f}, {g}) has g*f != e")
+        if g not in nucleus:
+            raise InvariantViolation(f"kernel witness g={g} outside the middle nucleus")
     return out
 
 
@@ -311,22 +271,10 @@ class CardinalityReport:
     checks: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "h": self.h,
-            "bs": self.bs,
-            "sbs": self.sbs,
-            "ssym": self.ssym,
-            "aum": self.aum,
-            "sa": self.sa,
-            "aut": self.aut,
-            "omega": self.omega,
-            "theta": self.theta,
-            "n_mu": self.n_mu,
-            "n_mu_cap_h": self.n_mu_cap_h,
-            "ker_phi": self.ker_phi,
-            "checks": {k: v.to_json_dict() for k, v in self.checks.items()},
-        }
+        """Every field but the subgroup, which the report lists separately."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "subgroup"}
+        doc["checks"] = {k: v.to_json_dict() for k, v in self.checks.items()}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -374,8 +322,8 @@ def _result(ok: bool, detail: str) -> CheckResult:
 def _guarded(fn) -> CheckResult:
     try:
         return fn()
-    except AssertionError as exc:
-        return CheckResult("fail", f"assertion failed: {exc}")
+    except InvariantViolation as exc:
+        return CheckResult("fail", f"invariant violated: {exc}")
 
 
 def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerification:
@@ -383,11 +331,11 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
 
     Check keys and what they witness:
       t10    SBS is a group inside BS
-      c11    SBS sits inside SSYM (itself a group of the predicted size)
+      c11    SBS sits inside SSYM, of size |H|! (n - |H|)!
       t12    subgroup-parameter isotopes are loops keeping H as a subgroup
       t12_1  the reversed parameter pair reconstructs the original table
-      t8     witness search and isotope-isomorphism search agree on SBS
-      t13    every subgroup-parameter isotope has the same SBS
+      t8     SBS from AUT and from the isotope-isomorphism search agree
+      t13    every subgroup-parameter isotope has the same SBS (AUT carried over)
       t14    |BS| is |SBS| times an integer index (aggregate: averaged form)
       t15    omega is a subgroup of the full autotopism group
       t16    third-component projection respects composition
@@ -408,75 +356,72 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
     if not subs:
         raise NotSLoop(f"order-{n} loop has no proper non-trivial subgroup")
 
-    bs = bs_group(L, cap=cap)
     aut = autotopism_group(L, cap=cap)
-    aum = automorphism_group(L, cap=cap)
-    nucleus = middle_nucleus(L)
-    nucleus_set = set(nucleus.elements)
-    bs_set = bs.member_set()
-    aut_keys = {a.key() for a in aut}
+    bs_set = frozenset(a.w.images for a in aut)
+    aum = diagonal(aut)
+    nucleus_set = set(middle_nucleus(L).elements)
+    ide = identity(n)
 
     reports = []
     sbs_sizes = []
     for hsub in subs:
-        ctx = SLoopContext(L, hsub)
         hset = set(hsub.elements)
         hsize = len(hsub)
-        ssym_g = ssym(ctx, cap=cap)
-        sbs_g = sbs_group(ctx, cap=cap)
-        sa_g = sa_group(ctx, cap=cap)
-        om = omega(ctx, cap=cap)
-        th = theta_set(ctx, cap=cap)
-        ker = [el for el in om if el.autotopism.w == identity(n)]
-        sbs_sizes.append(len(sbs_g))
+        om = _omega_of(aut, L.e, hset)
+        sbs_set = frozenset(el.autotopism.w.images for el in om)
+        sa = [a for a in aum if _keeps(a, hset)]
+        isos = _isotope_isomorphisms(L, hsub.elements, cap)
+        th = _theta_of(isos, hset)
+        ker = [el for el in om if el.autotopism.w == ide]
+        sbs_sizes.append(len(sbs_set))
 
-        ssym_set = ssym_g.member_set()
-        sbs_set = sbs_g.member_set()
+        ssym_size = math.factorial(hsize) * math.factorial(n - hsize)
         n_mu_cap_h = len(nucleus_set & hset)
-        pairs = [(f, g) for f in hsub.elements for g in hsub.elements]
-        checks = {}
+        gs_loop = len(th) == hsize * hsize
+        criterion = hsize * hsize * len(sa) == len(sbs_set) * n_mu_cap_h
 
         def check_t10():
             extra = sorted(sbs_set - bs_set)
             ok = not extra
-            detail = f"|SBS|={len(sbs_g)} |BS|={len(bs)}"
+            detail = f"|SBS|={len(sbs_set)} |BS|={len(bs_set)}"
             if extra:
                 detail += f" outside BS: {extra}"
             return _result(ok, detail)
 
         def check_c11():
-            extra = sorted(sbs_set - ssym_set)
-            expected = math.factorial(hsize) * math.factorial(n - hsize)
-            ok = not extra and len(ssym_g) == expected
-            detail = f"|SBS|={len(sbs_g)} |SSYM|={len(ssym_g)} expected |SSYM|={expected}"
+            extra = sorted(p for p in sbs_set if any(p[x] not in hset for x in hset))
+            detail = f"|SBS|={len(sbs_set)} |SSYM|={ssym_size} expected |SSYM|={ssym_size}"
             if extra:
                 detail += f" outside SSYM: {extra}"
-            return _result(ok, detail)
+            return _result(not extra, detail)
 
         def check_t12():
-            for f, g in pairs:
-                record, _ = smarandache_principal_isotope(ctx, f, g)
+            for (f, g), record, _ in isos:
                 if record.result.e != L.table[f][g]:
                     return _result(False, f"isotope ({f},{g}) identity {record.result.e}")
-            return _result(True, f"{len(pairs)} isotopes valid, subgroup preserved")
+                violation = subgroup_violation(record.result, hsub.elements)
+                if violation is not None:
+                    return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
+            return _result(True, f"{len(isos)} isotopes valid, subgroup preserved")
 
         def check_t12_1():
-            for f, g in pairs:
-                record, _ = smarandache_principal_isotope(ctx, f, g)
+            for (f, g), record, _ in isos:
                 back = principal_isotope(record.result, g, f)
                 if back.result.table != L.table:
                     return _result(False, f"({f},{g}) round trip altered the table")
-            return _result(True, f"{len(pairs)} round trips exact")
+            return _result(True, f"{len(isos)} round trips exact")
 
         def check_t8():
+            # Isomorphisms are injective, so a map sending H into H sends it onto H.
             via_iso_onto = set()
             via_iso_into = set()
-            for f, g in pairs:
-                _, ictx = smarandache_principal_isotope(ctx, f, g)
-                for a in s_isomorphisms(ctx, ictx, cap=cap, onto=True):
-                    via_iso_onto.add(a.images)
-                for a in s_isomorphisms(ctx, ictx, cap=cap):
-                    via_iso_into.add(a.images)
+            for _, _, found in isos:
+                for a in found:
+                    image = {a.images[x] for x in hset}
+                    if image <= hset:
+                        via_iso_into.add(a.images)
+                    if image == hset:
+                        via_iso_onto.add(a.images)
             ok = via_iso_onto == sbs_set
             detail = (
                 f"witness route {len(sbs_set)}, isotope route {len(via_iso_onto)} (onto)"
@@ -488,28 +433,30 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
             return _result(ok, detail)
 
         def check_t13():
-            for f, g in pairs:
-                _, ictx = smarandache_principal_isotope(ctx, f, g)
-                other = sbs_group(ictx, cap=cap)
-                if other.member_set() != sbs_set:
+            for (f, g), record, _ in isos:
+                carried = transport_autotopisms(aut, record)
+                other = {el.autotopism.w.images for el in _omega_of(carried, record.result.e, hset)}
+                if other != sbs_set:
                     return _result(
                         False,
-                        f"({f},{g}) isotope SBS has {len(other)} members, base has {len(sbs_g)}",
+                        f"({f},{g}) isotope SBS has {len(other)} members, base has {len(sbs_set)}",
                     )
-            return _result(True, f"SBS invariant across {len(pairs)} isotopes")
+            return _result(True, f"SBS invariant across {len(isos)} isotopes")
 
         def check_t14():
-            ok = len(bs) % len(sbs_g) == 0
-            detail = f"|BS|={len(bs)} |SBS|={len(sbs_g)} index={len(bs) / len(sbs_g):g}"
+            ok = len(bs_set) % len(sbs_set) == 0
+            detail = (
+                f"|BS|={len(bs_set)} |SBS|={len(sbs_set)}"
+                f" index={len(bs_set) / len(sbs_set):g}"
+            )
             return _result(ok, detail)
 
         def check_t15():
-            missing = [el.autotopism.key() for el in om if el.autotopism.key() not in aut_keys]
-            ok = not missing
+            violation = autotopism_set_violation([el.autotopism for el in om], n)
             detail = f"|omega|={len(om)} |AUT|={len(aut)}"
-            if missing:
-                detail += f" {len(missing)} triples outside AUT"
-            return _result(ok, detail)
+            if violation is not None:
+                detail += f" omega is not a group: {violation}"
+            return _result(violation is None, detail)
 
         def check_t16():
             for a in om:
@@ -528,7 +475,7 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
                 f = ld[g][L.e]
                 u = Perm(L.rdiv[x][g] for x in range(n))
                 v = Perm(ld[f][y] for y in range(n))
-                expected.add(Autotopism(u, v, identity(n)).key())
+                expected.add(Autotopism(u, v, ide).key())
             actual = {el.autotopism.key() for el in ker}
             ok = expected == actual
             detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"
@@ -542,94 +489,74 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         def check_t18():
             lit = len(ker) == len(nucleus_set)
             med = len(ker) == n_mu_cap_h
-            fact = len(om) == len(sbs_g) * len(ker)
+            fact = len(om) == len(sbs_set) * len(ker)
             detail = (
                 f"|ker|={len(ker)} |N_mu|={len(nucleus_set)} |N_mu^H|={n_mu_cap_h}"
                 f" literal_reading={'pass' if lit else 'fail'}"
                 f" intersect_reading={'pass' if med else 'fail'}"
-                f" |omega|={len(om)} |SBS|*|ker|={len(sbs_g) * len(ker)}"
+                f" |omega|={len(om)} |SBS|*|ker|={len(sbs_set) * len(ker)}"
             )
             return _result(med and fact, detail)
 
         def check_t19():
-            ok = len(om) == len(th) * len(sa_g)
-            return _result(
-                ok, f"|omega|={len(om)} |theta|={len(th)} |SA|={len(sa_g)}"
-            )
+            ok = len(om) == len(th) * len(sa)
+            return _result(ok, f"|omega|={len(om)} |theta|={len(th)} |SA|={len(sa)}")
 
         def check_t20():
-            full = len(th) == hsize * hsize
-            rhs_int = hsize * hsize * len(sa_g) == len(sbs_g) * n_mu_cap_h
-            rhs_lit = hsize * hsize * len(sa_g) == len(sbs_g) * len(nucleus_set)
-            ok = full == rhs_int
+            rhs_lit = hsize * hsize * len(sa) == len(sbs_set) * len(nucleus_set)
             detail = (
-                f"theta covers HxH: {full}; |H|^2*|SA|={hsize * hsize * len(sa_g)}"
-                f" |SBS|*|N_mu^H|={len(sbs_g) * n_mu_cap_h}"
-                f" |SBS|*|N_mu|={len(sbs_g) * len(nucleus_set)}"
-                f" literal_reading={'pass' if full == rhs_lit else 'fail'}"
+                f"theta covers HxH: {gs_loop}; |H|^2*|SA|={hsize * hsize * len(sa)}"
+                f" |SBS|*|N_mu^H|={len(sbs_set) * n_mu_cap_h}"
+                f" |SBS|*|N_mu|={len(sbs_set) * len(nucleus_set)}"
+                f" literal_reading={'pass' if gs_loop == rhs_lit else 'fail'}"
             )
-            return _result(ok, detail)
+            return _result(gs_loop == criterion, detail)
 
         def check_c21():
-            full = len(th) == hsize * hsize
-            rhs_int = hsize * hsize * len(sa_g) == len(sbs_g) * n_mu_cap_h
-            detail = f"gs_loop={'true' if full else 'false'} criterion={'true' if rhs_int else 'false'}"
-            return _result(full == rhs_int, detail)
+            detail = f"gs_loop={'true' if gs_loop else 'false'} criterion={'true' if criterion else 'false'}"
+            return _result(gs_loop == criterion, detail)
 
         def check_c23():
-            gs = len(th) == hsize * hsize
-            if not gs or len(nucleus_set) <= 1:
+            if not gs_loop or len(nucleus_set) <= 1:
                 return CheckResult(
                     "n/a",
-                    f"gs_loop={'true' if gs else 'false'} |N_mu|={len(nucleus_set)}",
+                    f"gs_loop={'true' if gs_loop else 'false'} |N_mu|={len(nucleus_set)}",
                 )
-            b = hsize * len(sa_g) == len(sbs_g)
+            b = hsize * len(sa) == len(sbs_set)
             a_lit = hsize == len(nucleus_set)
             a_int = hsize == n_mu_cap_h
             ok = a_int == b
             detail = (
                 f"|H|={hsize} |N_mu|={len(nucleus_set)} |N_mu^H|={n_mu_cap_h}"
-                f" |SBS|/|SA|={len(sbs_g) / len(sa_g):g}"
+                f" |SBS|/|SA|={len(sbs_set) / len(sa):g}"
                 f" literal_lemma={'pass' if a_lit == b else 'fail'}"
             )
             if a_int:
-                total = n * len(sa_g)
-                if total % len(sbs_g) != 0 or total // len(sbs_g) <= 1:
+                total = n * len(sa)
+                if total % len(sbs_set) != 0 or total // len(sbs_set) <= 1:
                     ok = False
-                    detail += f" index |G|*|SA|/|SBS|={total / len(sbs_g):g} not an integer > 1"
+                    detail += f" index |G|*|SA|/|SBS|={total / len(sbs_set):g} not an integer > 1"
                 else:
-                    detail += f" index={total // len(sbs_g)}"
+                    detail += f" index={total // len(sbs_set)}"
             return _result(ok, detail)
 
-        for key, fn in (
-            ("t10", check_t10),
-            ("c11", check_c11),
-            ("t12", check_t12),
-            ("t12_1", check_t12_1),
-            ("t8", check_t8),
-            ("t13", check_t13),
-            ("t14", check_t14),
-            ("t15", check_t15),
-            ("t16", check_t16),
-            ("t17", check_t17),
-            ("t18", check_t18),
-            ("t19", check_t19),
-            ("t20", check_t20),
-            ("c21", check_c21),
-            ("c23", check_c23),
-        ):
-            checks[key] = _guarded(fn)
+        in_key_order = (
+            check_t10, check_c11, check_t12, check_t12_1, check_t8, check_t13, check_t14,
+            check_t15, check_t16, check_t17, check_t18, check_t19, check_t20, check_c21,
+            check_c23,
+        )
+        checks = {key: _guarded(fn) for key, fn in zip(CHECK_KEYS, in_key_order)}
 
         reports.append(
             CardinalityReport(
                 subgroup=hsub.elements,
                 order=n,
                 h=hsize,
-                bs=len(bs),
-                sbs=len(sbs_g),
-                ssym=len(ssym_g),
+                bs=len(bs_set),
+                sbs=len(sbs_set),
+                ssym=ssym_size,
                 aum=len(aum),
-                sa=len(sa_g),
+                sa=len(sa),
                 aut=len(aut),
                 omega=len(om),
                 theta=len(th),
@@ -641,17 +568,17 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         )
 
     k = len(subs)
-    total = sum(size * (len(bs) // size) for size in sbs_sizes)
-    exact = all(len(bs) % size == 0 for size in sbs_sizes)
-    agg_ok = exact and total == k * len(bs)
+    total = sum(size * (len(bs_set) // size) for size in sbs_sizes)
+    exact = all(len(bs_set) % size == 0 for size in sbs_sizes)
+    agg_ok = exact and total == k * len(bs_set)
     agg_detail = (
-        f"k={k} |BS|={len(bs)} sum(|SBS_i|*index_i)={total}"
+        f"k={k} |BS|={len(bs_set)} sum(|SBS_i|*index_i)={total}"
         f" average={'exact' if agg_ok else f'{total}/{k}'}"
     )
     aggregate = AggregateReport(
         order=n,
         s_subgroup_count=k,
-        bs=len(bs),
+        bs=len(bs_set),
         checks={"t14": _result(agg_ok, agg_detail)},
     )
     return LoopVerification(tuple(reports), aggregate)

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import loopforge
 from loopforge import cyclic_loop, klein_four, n5_loop, s_loop_context, validate_table
 
 
@@ -42,3 +46,10 @@ def n5_ctx(n5):
 def loop_3x3_shifted():
     # identity element is 2, not 0
     return validate_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a child interpreter that imports this loopforge."""
+    src = Path(loopforge.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(src)}

@@ -1,8 +1,19 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from loopforge import CHECK_KEYS, cyclic_loop, format_table, n5_loop, write_table
+from loopforge import (
+    CHECK_KEYS,
+    InvariantViolation,
+    content_id,
+    cyclic_loop,
+    format_table,
+    n5_loop,
+    write_table,
+)
+from loopforge import sbs
 from loopforge.cli import main
 
 
@@ -206,6 +217,19 @@ class TestVerifyDir:
         assert main(["verify", str(catalog_dir), "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    def test_invariant_violation_outside_a_check_is_an_error(
+        self, catalog_dir, monkeypatch, capsys
+    ):
+        def broken(L, cap):
+            raise InvariantViolation("autotopism set is not a group: identity missing")
+
+        monkeypatch.setattr(sbs, "autotopism_group", broken)
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
+        assert "identity missing" in doc["entries"][0]["summary"]
+
 
 class TestGenerate:
     def test_text(self, tmp_path, capsys):
@@ -255,10 +279,47 @@ class TestReportCache:
         assert main(["verify", z4_file]) == 1
         assert "t10 fail" in capsys.readouterr().out
 
+    def test_cached_report_names_the_verified_path(self, z4_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+        entry_id = content_id(cyclic_loop(4))
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        write_table(cyclic_loop(4), fresh / f"{entry_id}.loop")
+        assert main(["verify", str(fresh)]) == 0
+        uncached = (fresh / f"{entry_id}.report.json").read_text(encoding="ascii")
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
+        assert main(["verify", z4_file]) == 0
+        cached = json.loads((cache / f"{entry_id}.report.json").read_text(encoding="ascii"))
+        assert "file" not in cached
+        assert not list(cache.glob("*.tmp"))
+
+        d1 = tmp_path / "d1"
+        d1.mkdir()
+        loop_path = d1 / f"{entry_id}.loop"
+        write_table(cyclic_loop(4), loop_path)
+        assert main(["verify", str(d1)]) == 0
+        text = (d1 / f"{entry_id}.report.json").read_text(encoding="ascii")
+        assert json.loads(text)["file"] == str(loop_path)
+        assert text == uncached.replace(str(fresh), str(d1))
+
     def test_no_cache_env_means_no_cache_files(self, z4_file, tmp_path, monkeypatch):
         monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
         assert main(["verify", z4_file]) == 0
         assert not list(tmp_path.glob("cache/**/*.json"))
+
+
+def test_python_dash_m_runs_the_cli(z4_file, package_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopforge", "validate", z4_file],
+        env=package_env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "valid loop of order 4" in proc.stdout
 
 
 def test_cli_entry_point_is_wired():

@@ -12,13 +12,16 @@ from loopforge import (
     automorphism_group,
     cyclic_loop,
     format_isotope_record,
+    generate_loops,
     identity_autotopism,
     isomorphisms,
     parse_isotope_record,
     principal_isotope,
     s_isomorphisms,
     s_loop_context,
+    s_subgroups,
     smarandache_principal_isotope,
+    transport_autotopisms,
 )
 
 from oracles import (
@@ -148,6 +151,28 @@ class TestAutotopisms:
     def test_cap(self, z4):
         with pytest.raises(SearchCapExceeded):
             autotopism_group(z4, cap=3)
+
+
+class TestTransport:
+    def test_equals_direct_search_on_subgroup_isotopes(self):
+        checked = 0
+        for n in (4, 5):
+            for entry in generate_loops(n):
+                L = entry.loop
+                aut = autotopism_group(L)
+                pairs = {(f, g) for h in s_subgroups(L) for f in h for g in h}
+                for f, g in sorted(pairs):
+                    record = principal_isotope(L, f, g)
+                    assert transport_autotopisms(aut, record) == autotopism_group(record.result)
+                    checked += 1
+        assert checked == 144
+
+    def test_equals_direct_search_for_every_pair(self, n5):
+        aut = autotopism_group(n5)
+        for f in range(5):
+            for g in range(5):
+                record = principal_isotope(n5, f, g)
+                assert transport_autotopisms(aut, record) == autotopism_group(record.result)
 
 
 class TestIsomorphisms:

@@ -1,4 +1,7 @@
 import math
+import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -10,10 +13,14 @@ from loopforge import (
     autotopism_group,
     bs_group,
     check_perm_group,
+    generate_loops,
     identity,
     ker_phi,
     omega,
     phi_project,
+    principal_isotope,
+    s_loop_context,
+    s_subgroups,
     sa_group,
     sbs_group,
     special_witnesses,
@@ -22,7 +29,13 @@ from loopforge import (
     verify_theorems,
 )
 
-from oracles import brute_bs, brute_special_witnesses, brute_ssym, group_axiom_violation
+from oracles import (
+    brute_bs,
+    brute_isomorphisms,
+    brute_special_witnesses,
+    brute_ssym,
+    group_axiom_violation,
+)
 
 
 class TestSSym:
@@ -213,6 +226,150 @@ class TestCheckPermGroup:
         # identity plus two involutions whose product is absent
         perms = [Perm([0, 1, 2]), Perm([1, 0, 2]), Perm([0, 2, 1])]
         assert "product" in check_perm_group(perms)
+
+    @staticmethod
+    def _generated(gens):
+        """Subgroup of S_4 generated by gens, in breadth-first order."""
+        found = [tuple(range(4))]
+        for x in found:
+            for g in gens:
+                y = tuple(g[v] for v in x)
+                if y not in found:
+                    found.append(y)
+        return found
+
+    def test_agrees_with_oracle_on_random_subsets_of_s4(self):
+        rng = random.Random(20240611)
+        s4 = list(permutations(range(4)))
+        cases = []
+        for _ in range(200):
+            group = self._generated(rng.sample(s4, rng.randint(1, 2)))
+            cases.append(group)
+            cases.append(group + [rng.choice(s4)])
+            drop = rng.choice(group)
+            cases.append([p for p in group if p != drop])
+            cases.append(rng.sample(s4, rng.randint(1, 24)))
+        verdicts = set()
+        for case in cases:
+            rng.shuffle(case)
+            verdict = check_perm_group([Perm(p) for p in case]) is None
+            assert verdict == (group_axiom_violation(case) is None), case
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_closed_under_first_generator_but_not_second(self):
+        rng = random.Random(7)
+        s4 = list(permutations(range(4)))
+        checked = 0
+        while checked < 50:
+            first, second = rng.sample(s4, 2)
+            cyclic = self._generated([first])
+            case = cyclic + [second]
+            if second in cyclic or group_axiom_violation(case) is None:
+                continue
+            violation = check_perm_group([Perm(p) for p in case])
+            assert violation is not None and "product" in violation
+            checked += 1
+
+
+@pytest.fixture(scope="module")
+def small_contexts():
+    """Every (loop, H) of orders 3 to 5."""
+    return [
+        s_loop_context(entry.loop, h.elements)
+        for n in (3, 4, 5)
+        for entry in generate_loops(n)
+        for h in s_subgroups(entry.loop)
+    ]
+
+
+class TestDerivedFromAutotopisms:
+    """BS, SBS, SA, omega, ker and theta, filtered from one autotopism
+    search, against the brute-force witness and isomorphism scans."""
+
+    def test_match_oracle_routes(self, small_contexts):
+        assert len(small_contexts) == 38
+        reports = {}
+        for ctx in small_contexts:
+            L, h = ctx.loop, ctx.h.elements
+            n, hset = L.n, set(h)
+            if L not in reports:
+                reports[L] = {rep.subgroup: rep for rep in verify_theorems(L).reports}
+            rep = reports[L][h]
+
+            bs = sorted(brute_bs(L))
+            assert [p.images for p in bs_group(L)] == bs and rep.bs == len(bs)
+
+            triples = sorted(
+                (
+                    tuple(L.rdiv[theta[x]][g] for x in range(n)),
+                    tuple(L.ldiv[f][theta[y]] for y in range(n)),
+                    theta,
+                )
+                for theta in brute_ssym(L, h)
+                for f, g in brute_special_witnesses(L, theta, domain=h)
+            )
+            om = omega(ctx)
+            assert [el.autotopism.key() for el in om] == triples and rep.omega == len(om)
+            for el in om:
+                witness = (el.witness.f, el.witness.g)
+                assert witness in brute_special_witnesses(L, el.witness.theta.images, domain=h)
+
+            sbs = sorted({t[2] for t in triples})
+            assert [p.images for p in sbs_group(ctx)] == sbs and rep.sbs == len(sbs)
+
+            kernel = [t for t in triples if t[2] == tuple(range(n))]
+            assert [el.autotopism.key() for el in ker_phi(ctx)] == kernel
+            assert rep.ker_phi == len(kernel)
+
+            def keeps(a):
+                return all(a[x] in hset for x in h)
+
+            sa = [a for a in brute_isomorphisms(L, L) if keeps(a)]
+            assert [p.images for p in sa_group(ctx)] == sa and rep.sa == len(sa)
+
+            theta = [
+                (f, g)
+                for f in h
+                for g in h
+                if any(keeps(a) for a in brute_isomorphisms(principal_isotope(L, f, g).result, L))
+            ]
+            assert theta_set(ctx) == theta and rep.theta == len(theta)
+
+
+class TestInvariants:
+    SCRIPT = """
+import sys
+from loopforge import InvariantViolation, cyclic_loop, s_loop_context, sbs
+
+if __debug__:
+    sys.exit("expected python -O")
+L = cyclic_loop(4)
+ctx = s_loop_context(L, [0, 2])
+aut = sbs.autotopism_group(L)
+drop = sbs.omega(ctx)[-1].autotopism
+sbs.autotopism_group = lambda L, cap=10: [a for a in aut if a != drop]
+try:
+    sbs.omega(ctx)
+except InvariantViolation as exc:
+    print("raised:", exc)
+print("t15", sbs.verify_theorems(L).reports[0].checks["t15"].status)
+"""
+
+    def test_closure_check_survives_python_O(self, package_env):
+        # A set missing one element of omega is not closed; under -O an
+        # assert would let it through, the explicit check must not.
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=package_env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("raised: omega is not a group: product of")
+        assert lines[1] == "t15 fail"
 
 
 class TestVerifyTheorems:
