@@ -25,9 +25,9 @@ INDEX_NAME = "index.tsv"
 def content_id(L: LoopTable) -> str:
     """64-bit FNV-1a hash of the canonical text form, as 16 hex digits."""
     h = FNV_OFFSET
+    prime = FNV_PRIME
     for byte in format_table(L).encode("ascii"):
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ byte) * prime) & 0xFFFFFFFFFFFFFFFF
     return f"{h:016x}"
 
 
@@ -105,9 +105,9 @@ def generate_loops(
 ) -> Iterator[CatalogEntry]:
     """Stream every normalized loop of order n, with optional filters.
 
-    The unbounded order-6 run produces 9408 entries and takes a while, so
-    it must be opted into explicitly.  Order checks happen at call time,
-    before the stream is touched.
+    The unbounded order-6 run produces 9408 entries, so it must be opted
+    into explicitly.  Order checks happen at call time, before the stream
+    is touched.
     """
     if n < 2 or n > 6:
         raise OrderTooLarge(f"exhaustive generation covers orders 2..6, got {n}")

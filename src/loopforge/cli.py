@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import catalog
 from .errors import LoopforgeError, NotSLoop, ParseError, SearchCapExceeded
-from .isotopy import DEFAULT_SEARCH_CAP, principal_isotope
+from .isotopy import DEFAULT_SEARCH_CAP, _check_cap, principal_isotope
 from .loop_core import LoopTable, s_subgroups, subgroup_violation
 from .sbs import (
     CHECK_KEYS,
@@ -121,9 +121,11 @@ def _verify_file(path: str, cap: int) -> tuple[LoopTable, LoopVerification, str]
     """Verify one table file, consulting the report cache when configured.
 
     The cache stores path-free reports, keyed by content id; the "file"
-    field always names the path being verified.
+    field always names the path being verified.  The search cap is enforced
+    before the cache is read, so a cached report never lifts it.
     """
     L = catalog.read_table(path)
+    _check_cap(L.n, cap)
     cache = catalog.report_cache_dir()
     cache_path = cache / f"{catalog.content_id(L)}.report.json" if cache else None
     if cache_path is not None and cache_path.exists():

@@ -77,40 +77,44 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotSquare(f"row {i} has {len(row)} entries, expected {n}")
+        # Fast path for rows of plain ints.  bool is an int subclass, so any
+        # other type goes through the entry-by-entry test.
+        if set(map(type, row)) == {int}:
+            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise NotSquare(f"row {i}, column {j}: non-integer entry {v!r}")
 
-    natural = tuple(range(n))
+    # n entries forming the set 0..n-1 are a permutation of it.
+    symbols = set(range(n))
     for i, row in enumerate(rows):
-        if tuple(sorted(row)) != natural:
+        if set(row) != symbols:
             raise NotLatin(f"row {i} is not a permutation of 0..{n - 1}: {list(row)}")
-    for j in range(n):
-        col = tuple(sorted(rows[i][j] for i in range(n)))
-        if col != natural:
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        if set(col) != symbols:
             raise NotLatin(f"column {j} is not a permutation of 0..{n - 1}")
 
+    natural = tuple(range(n))
     e = -1
     for x in range(n):
-        if rows[x] == natural and all(rows[y][x] == y for y in range(n)):
+        if rows[x] == natural and cols[x] == natural:
             e = x
             break
     if e < 0:
         raise NoIdentity("no element is a two-sided identity")
 
-    associative = True
-    for x in range(n):
-        for y in range(n):
-            rxy = rows[rows[x][y]]
-            rx = rows[x]
-            ry = rows[y]
-            if any(rxy[z] != rx[ry[z]] for z in range(n)):
-                associative = False
-                break
-        if not associative:
-            break
+    return LoopTable(tuple(rows), e, _associative(rows))
 
-    return LoopTable(tuple(rows), e, associative)
+
+def _associative(rows: list) -> bool:
+    """(x*y)*z = x*(y*z) for all x, y, z, compared a whole row of z at a time."""
+    for rx in rows:
+        get = rx.__getitem__
+        for y, ry in enumerate(rows):
+            if rows[rx[y]] != tuple(map(get, ry)):
+                return False
+    return True
 
 
 def translations(L: LoopTable, x: int) -> tuple[Perm, Perm]:
@@ -175,17 +179,24 @@ class SubgroupSet:
         return x in self.elements
 
 
-def _closure(L: LoopTable, seed: Iterable[int]) -> frozenset:
-    """Smallest superset of seed closed under the loop operation."""
+def _closure(L: LoopTable, closed: frozenset, x: int) -> frozenset:
+    """Smallest closed superset of closed | {x}, for a closed set closed.
+
+    Products of two old elements already lie in closed, so each round
+    multiplies only by the elements the round before added.  Stops once
+    the set is the whole loop.
+    """
     t = L.table
-    elems = set(seed)
-    frontier = list(elems)
-    while frontier:
+    n = L.n
+    elems = set(closed)
+    elems.add(x)
+    frontier = [x]
+    while frontier and len(elems) < n:
         fresh = []
-        current = list(elems)
-        for a in current:
+        for a in list(elems):
+            row = t[a]
             for b in frontier:
-                for c in (t[a][b], t[b][a]):
+                for c in (row[b], t[b][a]):
                     if c not in elems:
                         elems.add(c)
                         fresh.append(c)
@@ -196,24 +207,47 @@ def _closure(L: LoopTable, seed: Iterable[int]) -> frozenset:
 def subgroups(L: LoopTable) -> list[SubgroupSet]:
     """Every subset forming a group under the loop operation.
 
-    Closed subsets are grown from {e} one generator at a time; any closed
-    subset is reachable this way, and the group axioms are then checked on
-    each candidate.
+    Only subgroups are grown, one generator at a time, and none is missed.
+    A closed subset of a finite group is itself a subgroup, so every
+    subgroup H is reached through a chain of its own subgroups
+    <x1> < <x1, x2> < ... < H, while a closed set that is not a group lies
+    in no subgroup and is never extended.  For the same reason an element
+    x with x*(x*x) != (x*x)*x, or whose closure with e is not a group, is
+    never tried as a generator.  The whole loop is a group exactly when
+    L.associative; any other closed set is certified or rejected by
+    building its SubgroupSet, once.
     """
-    start = _closure(L, (L.e,))
-    seen = {start}
-    queue = [start]
-    closed = []
+    t = L.table
+    whole = frozenset(range(L.n))
+    groups = {}  # closed set -> its SubgroupSet, or None when not a group
+
+    def certify(closed: frozenset) -> SubgroupSet | None:
+        if closed not in groups:
+            h = None
+            if closed != whole or L.associative:
+                try:
+                    h = SubgroupSet(tuple(closed), L)
+                except ValueError:
+                    pass
+            groups[closed] = h
+        return groups[closed]
+
+    trivial = frozenset((L.e,))
+    certify(trivial)
+    generators = []
+    for x in range(L.n):
+        xx = t[x][x]
+        if x != L.e and t[x][xx] == t[xx][x] and certify(_closure(L, trivial, x)) is not None:
+            generators.append(x)
+    queue = [s for s, h in groups.items() if h is not None and s != trivial]
     while queue:
         s = queue.pop()
-        closed.append(s)
-        for x in range(L.n):
+        for x in generators:
             if x not in s:
-                grown = _closure(L, s | {x})
-                if grown not in seen:
-                    seen.add(grown)
+                grown = _closure(L, s, x)
+                if grown not in groups and certify(grown) is not None:
                     queue.append(grown)
-    found = [SubgroupSet(tuple(s), L) for s in closed if subgroup_violation(L, s) is None]
+    found = [h for h in groups.values() if h is not None]
     found.sort(key=lambda h: (len(h.elements), h.elements))
     return found
 

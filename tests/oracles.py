@@ -39,6 +39,12 @@ def brute_subgroups(L):
     return found
 
 
+def brute_associative(L):
+    """Triple scan of (x*y)*z = x*(y*z)."""
+    r = range(L.n)
+    return all(mul(L, mul(L, x, y), z) == mul(L, x, mul(L, y, z)) for x in r for y in r for z in r)
+
+
 def group_axiom_violation(perms):
     """Closure/identity/inverse check on image tuples, no Perm involved."""
     members = sorted({tuple(p) for p in perms})

@@ -28,7 +28,7 @@ class TestContentId:
         assert content_id(n5) == "5b3b9c6839e012cc"
 
     def test_matches_independent_fnv(self, z4, klein, n5):
-        for L in (z4, klein, n5):
+        for L in (z4, klein, n5, *(e.loop for e in generate_loops(5))):
             expected = f"{fnv64(format_table(L).encode('ascii')):016x}"
             assert content_id(L) == expected
 

@@ -304,6 +304,34 @@ class TestReportCache:
         assert json.loads(text)["file"] == str(loop_path)
         assert text == uncached.replace(str(fresh), str(d1))
 
+    def test_warm_cache_keeps_the_search_cap(self, z4_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(tmp_path / "cache"))
+        assert main(["verify", z4_file, "--search-cap", "3"]) == 2
+        cold = capsys.readouterr()
+        assert main(["verify", z4_file]) == 0
+        capsys.readouterr()
+        assert main(["verify", z4_file, "--search-cap", "3"]) == 2
+        warm = capsys.readouterr()
+        assert warm.out == cold.out == ""
+        assert warm.err == cold.err
+        assert "order 4 exceeds the search cap 3" in warm.err
+
+    def test_warm_cache_keeps_the_search_cap_for_dirs(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "cat4"
+        assert main(["generate", "4", str(target)]) == 0
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(tmp_path / "cache"))
+        capsys.readouterr()
+        assert main(["verify", "--json", str(target), "--search-cap", "3"]) == 2
+        cold = capsys.readouterr().out
+        assert main(["verify", str(target)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--json", str(target), "--search-cap", "3"]) == 2
+        warm = capsys.readouterr().out
+        assert warm == cold
+        doc = json.loads(warm)
+        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
+        assert "exceeds the search cap 3" in doc["entries"][0]["summary"]
+
     def test_no_cache_env_means_no_cache_files(self, z4_file, tmp_path, monkeypatch):
         monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
         assert main(["verify", z4_file]) == 0

@@ -1,3 +1,6 @@
+from collections import Counter
+from enum import IntEnum
+
 import pytest
 
 from loopforge import (
@@ -6,7 +9,9 @@ from loopforge import (
     NotSLoop,
     NotSquare,
     ParseError,
+    cyclic_loop,
     format_table,
+    generate_loops,
     is_subgroup,
     middle_nucleus,
     parse_table,
@@ -18,7 +23,7 @@ from loopforge import (
     validate_table,
 )
 
-from oracles import brute_subgroups
+from oracles import brute_associative, brute_subgroups
 
 
 class TestValidation:
@@ -44,22 +49,47 @@ class TestValidation:
         with pytest.raises(NotSquare):
             validate_table([[0, True], [1, 0]])
 
+    def test_rejects_bool_after_an_all_int_row(self):
+        with pytest.raises(NotSquare, match=r"^row 2, column 1: non-integer entry False$"):
+            validate_table([[0, 1, 2], [1, 2, 0], [2, False, 1]])
+
+    def test_accepts_int_subclass_entries(self):
+        Sym = IntEnum("Sym", "a b c", start=0)
+        L = validate_table([[Sym((i + j) % 3) for j in range(3)] for i in range(3)])
+        assert L.e == 0
+        assert L.associative
+        assert L.table == cyclic_loop(3).table
+
     def test_rejects_empty(self):
         with pytest.raises(NotSquare):
             validate_table([])
 
     def test_rejects_repeated_row_entry(self):
-        with pytest.raises(NotLatin):
+        with pytest.raises(NotLatin) as exc:
             validate_table([[0, 1], [1, 1]])
+        assert str(exc.value) == "row 1 is not a permutation of 0..1: [1, 1]"
+
+    def test_rejects_out_of_range_row_entry(self):
+        with pytest.raises(NotLatin) as exc:
+            validate_table([[0, 1], [1, 2]])
+        assert str(exc.value) == "row 1 is not a permutation of 0..1: [1, 2]"
 
     def test_rejects_repeated_column_entry(self):
         # rows are permutations but column 0 repeats
-        with pytest.raises(NotLatin):
+        with pytest.raises(NotLatin) as exc:
             validate_table([[0, 1, 2], [0, 2, 1], [1, 0, 2]])
+        assert str(exc.value) == "column 0 is not a permutation of 0..2"
 
     def test_rejects_quasigroup_without_identity(self):
-        with pytest.raises(NoIdentity):
+        with pytest.raises(NoIdentity) as exc:
             validate_table([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+        assert str(exc.value) == "no element is a two-sided identity"
+
+    def test_associative_flag_matches_triple_scan(self, loop_3x3_shifted):
+        loops = [e.loop for n in range(2, 6) for e in generate_loops(n)]
+        assert len(loops) == 62
+        for L in (*loops, loop_3x3_shifted):
+            assert L.associative == brute_associative(L)
 
 
 class TestDivision:
@@ -103,8 +133,24 @@ class TestSubgroups:
         assert s_subgroups(z5) == []
 
     def test_matches_powerset_oracle(self, z4, z5, klein, n5, loop_3x3_shifted):
-        for L in (z4, z5, klein, n5, loop_3x3_shifted):
+        z2_cubed = validate_table([[a ^ b for b in range(8)] for a in range(8)])
+        for L in (z4, z5, klein, n5, loop_3x3_shifted, cyclic_loop(8), cyclic_loop(9), z2_cubed):
             assert [h.elements for h in subgroups(L)] == brute_subgroups(L)
+
+    def test_matches_powerset_oracle_on_every_loop_up_to_order_6(self):
+        for n in range(2, 6):
+            for entry in generate_loops(n):
+                assert [h.elements for h in subgroups(entry.loop)] == brute_subgroups(entry.loop)
+        counts = Counter()
+        groups = 0
+        for entry in generate_loops(6, allow_order_six=True):
+            found = [h.elements for h in subgroups(entry.loop)]
+            assert found == brute_subgroups(entry.loop), entry.loop.table
+            assert entry.s_subgroup_count == len(found) - 1 - entry.associative
+            counts[entry.s_subgroup_count] += 1
+            groups += entry.associative
+        assert counts == {0: 3360, 1: 3760, 2: 1680, 3: 480, 4: 80, 5: 48}
+        assert groups == 80
 
     def test_violation_messages(self, z4):
         assert subgroup_violation(z4, [0, 2]) is None
