@@ -132,10 +132,11 @@ def generate_loops(
 
 
 def read_table(path) -> LoopTable:
-    text = Path(path).read_text(encoding="ascii")
+    """Parse a table file; a file that is not ASCII text is a ParseError
+    naming the path."""
     try:
-        return parse_table(text)
-    except ParseError:
+        return parse_table(Path(path).read_text(encoding="ascii"))
+    except (ParseError, OSError):
         raise
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc

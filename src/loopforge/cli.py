@@ -19,13 +19,11 @@ from . import catalog
 from .errors import LoopforgeError, NotSLoop, ParseError, SearchCapExceeded
 from .isotopy import DEFAULT_SEARCH_CAP, _check_cap, principal_isotope
 from .loop_core import LoopTable, s_subgroups, subgroup_violation
-from .sbs import (
-    CHECK_KEYS,
-    AggregateReport,
-    CardinalityReport,
-    CheckResult,
-    LoopVerification,
-    verify_theorems,
+from .sbs import CHECK_KEYS, verify_theorems
+
+SIZES = (
+    "|BS|={bs} |SBS|={sbs} |SSYM|={ssym} |AUM|={aum} |SA|={sa} |AUT|={aut}"
+    " |omega|={omega} |theta|={theta} |N_mu|={n_mu} |N_mu^H|={n_mu_cap_h} |ker|={ker_phi}"
 )
 
 
@@ -63,47 +61,6 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _report_doc(L: LoopTable, ver: LoopVerification) -> dict:
-    """Everything in a loop's report but its "file" path, which the caller adds."""
-    return {
-        "id": catalog.content_id(L),
-        "order": L.n,
-        "subgroups": [list(rep.subgroup) for rep in ver.reports],
-        "reports": [rep.to_json_dict() for rep in ver.reports],
-        "aggregate": ver.aggregate.to_json_dict(),
-    }
-
-
-def _select_reports(ver: LoopVerification, subgroup: list[int] | None, L: LoopTable):
-    if subgroup is None:
-        return list(ver.reports)
-    wanted = tuple(sorted(set(subgroup)))
-    chosen = [rep for rep in ver.reports if rep.subgroup == wanted]
-    if not chosen:
-        violation = subgroup_violation(L, wanted)
-        if violation is not None:
-            raise NotSLoop(f"--subgroup {list(wanted)}: not a subgroup: {violation}")
-        raise NotSLoop(f"--subgroup {list(wanted)}: not proper and non-trivial")
-    return chosen
-
-
-def _checks_from_doc(doc: dict) -> dict:
-    return {key: CheckResult(**val) for key, val in doc.items()}
-
-
-def _verification_from_doc(doc: dict) -> LoopVerification:
-    """Rebuild a verification from its JSON form (used on cache hits)."""
-    reports = [
-        CardinalityReport(subgroup=tuple(sub), **{**rep, "checks": _checks_from_doc(rep["checks"])})
-        for sub, rep in zip(doc["subgroups"], doc["reports"])
-    ]
-    agg = doc["aggregate"]
-    aggregate = AggregateReport(
-        agg["order"], agg["s_subgroups"], agg["bs"], _checks_from_doc(agg["checks"])
-    )
-    return LoopVerification(tuple(reports), aggregate)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temporary file and os.replace, so that concurrent
     writers of the same path never leave a torn file."""
@@ -117,27 +74,72 @@ def _write_atomic(path: Path, text: str) -> None:
             os.unlink(tmp)
 
 
-def _verify_file(path: str, cap: int) -> tuple[LoopTable, LoopVerification, str]:
-    """Verify one table file, consulting the report cache when configured.
+def _select(L: LoopTable, doc: dict, theorem: str, subgroup: list[int] | None) -> list[tuple]:
+    """The (scope, key, check) rows of a report document that --theorem and
+    --subgroup pick; check is a {"status", "detail"} dict.
 
-    The cache stores path-free reports, keyed by content id; the "file"
-    field always names the path being verified.  The search cap is enforced
-    before the cache is read, so a cached report never lifts it.
+    scope indexes doc["reports"], or is None for the aggregate, which only
+    a run over every subgroup includes.
+    """
+    keys = CHECK_KEYS if theorem == "all" else (theorem,)
+    picked = range(len(doc["subgroups"]))
+    if subgroup is not None:
+        wanted = sorted(set(subgroup))
+        picked = [i for i in picked if doc["subgroups"][i] == wanted]
+        if not picked:
+            violation = subgroup_violation(L, wanted)
+            if violation is not None:
+                raise NotSLoop(f"--subgroup {wanted}: not a subgroup: {violation}")
+            raise NotSLoop(f"--subgroup {wanted}: not proper and non-trivial")
+    rows = [(i, key, doc["reports"][i]["checks"][key]) for i in picked for key in keys]
+    if subgroup is None and theorem in ("all", "t14"):
+        rows.append((None, "t14", doc["aggregate"]["checks"]["t14"]))
+    return rows
+
+
+def _scope(doc: dict, scope: int | None) -> str:
+    if scope is None:
+        return "aggregate"
+    return "H={" + ",".join(map(str, doc["subgroups"][scope])) + "}"
+
+
+def _failed(rows: list[tuple]) -> bool:
+    return any(res["status"] == "fail" for _, _, res in rows)
+
+
+def _verify_file(
+    path: str, cap: int, theorem: str = "all", subgroup: str | None = None
+) -> tuple[dict, list[tuple]]:
+    """One table file's report document, as <id>.report.json holds it, and
+    the rows _select picks from it.
+
+    The document comes from verify_theorems or from the report cache, which
+    stores it path-free, keyed by content id; "file" always names the path
+    being verified.  A table error wins over a malformed --subgroup, which
+    wins over the search cap; the cap is enforced before the cache is read,
+    so a cached report never lifts it.
     """
     L = catalog.read_table(path)
+    wanted = _parse_subgroup(subgroup) if subgroup else None
     _check_cap(L.n, cap)
     cache = catalog.report_cache_dir()
     cache_path = cache / f"{catalog.content_id(L)}.report.json" if cache else None
     if cache_path is not None and cache_path.exists():
         doc = json.loads(cache_path.read_text(encoding="ascii"))
         doc.pop("file", None)  # caches written before reports were path-free
-        ver = _verification_from_doc(doc)
     else:
         ver = verify_theorems(L, cap=cap)
-        doc = _report_doc(L, ver)
+        doc = {
+            "id": catalog.content_id(L),
+            "order": L.n,
+            "subgroups": [list(rep.subgroup) for rep in ver.reports],
+            "reports": [rep.to_json_dict() for rep in ver.reports],
+            "aggregate": ver.aggregate.to_json_dict(),
+        }
         if cache_path is not None:
             _write_atomic(cache_path, json.dumps(doc, indent=2) + "\n")
-    return L, ver, json.dumps({"file": str(path), **doc}, indent=2) + "\n"
+    doc = {"file": str(path), **doc}
+    return doc, _select(L, doc, theorem, wanted)
 
 
 def cmd_validate(args) -> int:
@@ -166,39 +168,26 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _config(args)
-    L = catalog.read_table(args.file)
-    subgroup = _parse_subgroup(args.subgroup) if args.subgroup else None
-    ver = verify_theorems(L, cap=cfg.search_cap)
-    chosen = _select_reports(ver, subgroup, L)
-    failed = any(res.status == "fail" for rep in chosen for res in rep.checks.values())
-    if subgroup is None and any(
-        res.status == "fail" for res in ver.aggregate.checks.values()
-    ):
-        failed = True
+    doc, rows = _verify_file(args.file, cfg.search_cap, subgroup=args.subgroup)
     if cfg.output_format == "json":
-        doc = {"file": str(args.file), **_report_doc(L, ver)}
-        if subgroup is not None:
-            keep = [list(rep.subgroup) for rep in chosen]
-            doc["subgroups"] = keep
-            doc["reports"] = [rep.to_json_dict() for rep in chosen]
+        if args.subgroup:
+            scope = rows[0][0]  # the one report the subgroup picked
+            doc["subgroups"] = [doc["subgroups"][scope]]
+            doc["reports"] = [doc["reports"][scope]]
             doc.pop("aggregate")
         _emit(doc)
     else:
-        for rep in chosen:
-            h = "{" + ",".join(map(str, rep.subgroup)) + "}"
-            print(
-                f"{args.file} H={h}: |BS|={rep.bs} |SBS|={rep.sbs} |SSYM|={rep.ssym}"
-                f" |AUM|={rep.aum} |SA|={rep.sa} |AUT|={rep.aut}"
-                f" |omega|={rep.omega} |theta|={rep.theta}"
-                f" |N_mu|={rep.n_mu} |N_mu^H|={rep.n_mu_cap_h} |ker|={rep.ker_phi}"
-            )
-            for key in CHECK_KEYS:
-                res = rep.checks[key]
-                print(f"  {key:<6} {res.status:<4} {res.detail}")
-        if subgroup is None:
-            res = ver.aggregate.checks["t14"]
-            print(f"{args.file} aggregate: t14 {res.status} {res.detail}")
-    return 1 if failed else 0
+        shown = None
+        for scope, key, res in rows:
+            if scope is None:
+                print(f"{args.file} aggregate: {key} {res['status']} {res['detail']}")
+                continue
+            if scope != shown:
+                shown = scope
+                sizes = SIZES.format_map(doc["reports"][scope])
+                print(f"{args.file} {_scope(doc, scope)}: {sizes}")
+            print(f"  {key:<6} {res['status']:<4} {res['detail']}")
+    return 1 if _failed(rows) else 0
 
 
 def cmd_isotope(args) -> int:
@@ -212,14 +201,19 @@ def cmd_isotope(args) -> int:
 
 
 def _worker(job: tuple) -> tuple:
-    path, cap = job
+    """(status, report text or None, summary) for one catalog entry.  An
+    unreadable entry is an error row, so the other entries still run."""
+    path, cap, theorem = job
     try:
-        L, ver, text = _verify_file(path, cap)
-        return ("fail" if not ver.all_pass() else "ok", text)
+        doc, rows = _verify_file(path, cap, theorem)
     except NotSLoop as exc:
-        return ("skip", str(exc))
-    except LoopforgeError as exc:
-        return ("error", str(exc))
+        return ("skip", None, str(exc))
+    except (LoopforgeError, OSError) as exc:
+        return ("error", None, str(exc))
+    statuses = [res["status"] for _, _, res in rows]
+    na = statuses.count("n/a")
+    summary = f"{statuses.count('pass')}/{len(statuses)} passed" + (f" ({na} n/a)" if na else "")
+    return ("fail" if _failed(rows) else "ok", json.dumps(doc, indent=2) + "\n", summary)
 
 
 def _verify_dir(args, cfg: CliConfig) -> int:
@@ -227,25 +221,19 @@ def _verify_dir(args, cfg: CliConfig) -> int:
     entries = catalog.iter_catalog(base)
     if not entries:
         raise LoopforgeError(f"{base}: no catalog entries found")
-    jobs = [(str(path), cfg.search_cap) for _, path in entries]
+    jobs = [(str(path), cfg.search_cap, args.theorem) for _, path in entries]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]
 
-    selector = args.theorem
     rows = []
     counts = {"ok": 0, "fail": 0, "skip": 0, "error": 0}
-    for (entry_id, path), (status, payload) in zip(entries, outcomes):
-        if status in ("ok", "fail"):
-            (base / f"{entry_id}.report.json").write_text(payload, encoding="ascii")
-            doc = json.loads(payload)
-            statuses = _selected_statuses(doc, selector)
-            status = "fail" if "fail" in statuses else "ok"
-            rows.append((entry_id, status, _status_summary(statuses)))
-        else:
-            rows.append((entry_id, status, payload))
+    for (entry_id, _), (status, text, summary) in zip(entries, outcomes):
+        if text is not None:
+            (base / f"{entry_id}.report.json").write_text(text, encoding="ascii")
+        rows.append((entry_id, status, summary))
         counts[status] += 1
 
     if cfg.output_format == "json":
@@ -271,24 +259,6 @@ def _verify_dir(args, cfg: CliConfig) -> int:
     return 1 if counts["fail"] else 0
 
 
-def _selected_statuses(doc: dict, selector: str) -> list[str]:
-    keys = CHECK_KEYS if selector == "all" else (selector,)
-    statuses = []
-    for rep in doc["reports"]:
-        for key in keys:
-            statuses.append(rep["checks"][key]["status"])
-    if selector in ("all", "t14"):
-        statuses.append(doc["aggregate"]["checks"]["t14"]["status"])
-    return statuses
-
-
-def _status_summary(statuses: list[str]) -> str:
-    passed = sum(1 for s in statuses if s == "pass")
-    na = sum(1 for s in statuses if s == "n/a")
-    tail = f" ({na} n/a)" if na else ""
-    return f"{passed}/{len(statuses)} passed{tail}"
-
-
 def cmd_verify(args) -> int:
     cfg = _config(args)
     if args.theorem != "all" and args.theorem not in CHECK_KEYS:
@@ -300,42 +270,16 @@ def cmd_verify(args) -> int:
             raise LoopforgeError("--subgroup applies to single-file verification only")
         return _verify_dir(args, cfg)
 
-    L = catalog.read_table(args.target)
-    subgroup = _parse_subgroup(args.subgroup) if args.subgroup else None
-    _, ver, _ = _verify_file(args.target, cfg.search_cap)
-    chosen = _select_reports(ver, subgroup, L)
-    keys = CHECK_KEYS if args.theorem == "all" else (args.theorem,)
-    failed = False
-    lines = []
-    for rep in chosen:
-        h = "{" + ",".join(map(str, rep.subgroup)) + "}"
-        for key in keys:
-            res = rep.checks[key]
-            failed = failed or res.status == "fail"
-            lines.append((f"H={h}", key, res))
-    if subgroup is None and args.theorem in ("all", "t14"):
-        res = ver.aggregate.checks["t14"]
-        failed = failed or res.status == "fail"
-        lines.append(("aggregate", "t14", res))
-
+    doc, rows = _verify_file(args.target, cfg.search_cap, args.theorem, args.subgroup)
     if cfg.output_format == "json":
-        _emit(
-            {
-                "file": str(args.target),
-                "checks": [
-                    {"scope": scope, "key": key, "status": res.status, "detail": res.detail}
-                    for scope, key, res in lines
-                ],
-                "failed": failed,
-            }
-        )
+        checks = [{"scope": _scope(doc, scope), "key": key, **res} for scope, key, res in rows]
+        _emit({"file": str(args.target), "checks": checks, "failed": _failed(rows)})
     else:
-        for scope, key, res in lines:
-            print(f"{args.target} {scope} {key} {res.status}: {res.detail}")
-        total = len(lines)
-        bad = sum(1 for _, _, res in lines if res.status == "fail")
-        print(f"{args.target}: {total - bad}/{total} checks passed")
-    return 1 if failed else 0
+        for scope, key, res in rows:
+            print(f"{args.target} {_scope(doc, scope)} {key} {res['status']}: {res['detail']}")
+        passed = sum(res["status"] != "fail" for _, _, res in rows)
+        print(f"{args.target}: {passed}/{len(rows)} checks passed")
+    return 1 if _failed(rows) else 0
 
 
 def cmd_generate(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotSElements, SearchCapExceeded
-from .loop_core import LoopTable, SLoopContext, SubgroupSet, subgroup_violation, validate_table
+from .loop_core import LoopTable, SLoopContext, SubgroupSet, validate_table
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
 DEFAULT_SEARCH_CAP = 10
@@ -106,10 +106,11 @@ def smarandache_principal_isotope(
     if f not in ctx.h or g not in ctx.h:
         raise NotSElements(f"({f}, {g}) not inside the subgroup {list(ctx.h.elements)}")
     record = principal_isotope(ctx.loop, f, g)
-    violation = subgroup_violation(record.result, ctx.h.elements)
-    if violation is not None:
-        raise InvariantViolation(f"subgroup lost under isotopy: {violation}")
-    new_h = SubgroupSet(ctx.h.elements, record.result)
+    try:
+        new_h = SubgroupSet(ctx.h.elements, record.result)
+    except ValueError as exc:
+        violation = str(exc).removeprefix("not a subgroup: ")
+        raise InvariantViolation(f"subgroup lost under isotopy: {violation}") from None
     return record, SLoopContext(record.result, new_h)
 
 

@@ -286,10 +286,11 @@ class SLoopContext:
 
 def s_loop_context(L: LoopTable, elements: Iterable[int]) -> SLoopContext:
     """Validate elements as a proper non-trivial subgroup and pair it with L."""
-    violation = subgroup_violation(L, elements)
-    if violation is not None:
-        raise NotSLoop(f"not a subgroup: {violation}")
-    return SLoopContext(L, SubgroupSet(tuple(elements), L))
+    try:
+        h = SubgroupSet(tuple(elements), L)
+    except ValueError as exc:  # "not a subgroup: <violation>"
+        raise NotSLoop(str(exc)) from None
+    return SLoopContext(L, h)
 
 
 def format_table(L: LoopTable) -> str:

@@ -330,7 +330,7 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
     """Machine-check every recorded identity for each proper subgroup of L.
 
     Check keys and what they witness:
-      t10    SBS is a group inside BS
+      t10    SBS is contained in BS (closure of SBS is checked by t16)
       c11    SBS sits inside SSYM, of size |H|! (n - |H|)!
       t12    subgroup-parameter isotopes are loops keeping H as a subgroup
       t12_1  the reversed parameter pair reconstructs the original table

@@ -13,7 +13,7 @@ from loopforge import (
     n5_loop,
     write_table,
 )
-from loopforge import sbs
+from loopforge import catalog, sbs
 from loopforge.cli import main
 
 
@@ -65,6 +65,15 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.loop")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_ascii_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "accent.loop"
+        bad.write_bytes(b"# caf\xc3\xa9\n2\n0 1\n1 0\n")
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: 'ascii' codec can't decode byte 0xc3 in position 5:"
+            " ordinal not in range(128)\n"
+        )
 
 
 class TestAnalyze:
@@ -157,6 +166,21 @@ class TestVerifyFile:
         assert main(["verify", z4_file, "--search-cap", "3"]) == 2
         assert "--search-cap" in capsys.readouterr().err
 
+    def test_reads_the_table_once(self, z4_file, monkeypatch, capsys):
+        calls = []
+        real = catalog.parse_table
+        monkeypatch.setattr(catalog, "parse_table", lambda text: calls.append(text) or real(text))
+        assert main(["verify", z4_file, "--subgroup", "0,2"]) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_table_error_wins_over_malformed_subgroup(command, tmp_path, capsys):
+    bad = tmp_path / "bad.loop"
+    bad.write_text("2\n0 1\n", encoding="ascii")
+    assert main([command, str(bad), "--subgroup", "0,x"]) == 2
+    assert capsys.readouterr().err == "error: line 1: expected 2 rows, found 1\n"
+
 
 class TestVerifyDir:
     @pytest.fixture
@@ -217,6 +241,24 @@ class TestVerifyDir:
         assert main(["verify", str(catalog_dir), "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    def test_unreadable_entries_are_errors_and_the_rest_still_run(self, catalog_dir, capsys):
+        loops = sorted(catalog_dir.glob("*.loop"))
+        loops[0].write_bytes(b"# \xc3\n" + loops[0].read_bytes())
+        loops[1].unlink()
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"ok": 2, "fail": 0, "skip": 0, "error": 2}
+        rows = {row["id"]: row for row in doc["entries"]}
+        bad = rows[loops[0].stem]
+        assert bad["status"] == "error"
+        assert bad["summary"].startswith(f"{loops[0]}: 'ascii' codec can't decode byte 0xc3")
+        missing = rows[loops[1].stem]
+        assert missing["status"] == "error" and "No such file" in missing["summary"]
+        for path in loops[2:]:
+            assert rows[path.stem] == {"id": path.stem, "status": "ok", "summary": "16/16 passed"}
+            assert (catalog_dir / f"{path.stem}.report.json").exists()
+
     def test_invariant_violation_outside_a_check_is_an_error(
         self, catalog_dir, monkeypatch, capsys
     ):
@@ -263,21 +305,29 @@ class TestGenerate:
 
 
 class TestReportCache:
-    def test_cache_round_trip(self, z4_file, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "command, poisoned",
+        [("verify", "H={0,2} t10 fail:"), ("analyze", "  t10    fail ")],
+        ids=["verify", "analyze"],
+    )
+    def test_cache_round_trip(self, command, poisoned, z4_file, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "cache"
         monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        assert main(["verify", z4_file]) == 0
+        capsys.readouterr()
+        assert main([command, z4_file]) == 0
+        cold = capsys.readouterr()
         cached = list(cache.glob("*.report.json"))
         assert len(cached) == 1
         assert cached[0].name == "d29ea407de45234b.report.json"
+        assert main([command, z4_file]) == 0
+        assert capsys.readouterr() == cold
 
         # a cache hit must drive the outcome: poison one status and re-run
         doc = json.loads(cached[0].read_text(encoding="ascii"))
         doc["reports"][0]["checks"]["t10"]["status"] = "fail"
         cached[0].write_text(json.dumps(doc), encoding="ascii")
-        capsys.readouterr()
-        assert main(["verify", z4_file]) == 1
-        assert "t10 fail" in capsys.readouterr().out
+        assert main([command, z4_file]) == 1
+        assert poisoned in capsys.readouterr().out
 
     def test_cached_report_names_the_verified_path(self, z4_file, tmp_path, monkeypatch):
         monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)

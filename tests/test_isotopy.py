@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
 from loopforge import (
     Autotopism,
+    InvariantViolation,
     NotSElements,
     ParseError,
     Perm,
@@ -22,7 +25,9 @@ from loopforge import (
     s_subgroups,
     smarandache_principal_isotope,
     transport_autotopisms,
+    validate_table,
 )
+from loopforge import isotopy, loop_core
 
 from oracles import (
     brute_autotopisms_pairs,
@@ -85,6 +90,36 @@ class TestSmarandacheIsotope:
             smarandache_principal_isotope(z4_ctx, 1, 2)
         with pytest.raises(NotSElements):
             smarandache_principal_isotope(z4_ctx, 0, 3)
+
+    def test_lost_subgroup_is_an_invariant_violation(self, z4_ctx, monkeypatch):
+        # Z4 relabelled by the swap 1 <-> 2: there 2 has order 4, so {0, 2} is not closed
+        swap = (0, 2, 1, 3)
+        rows = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(4):
+                rows[swap[i]][swap[j]] = swap[(i + j) % 4]
+        lost = SimpleNamespace(result=validate_table(rows))
+        monkeypatch.setattr(isotopy, "principal_isotope", lambda L, f, g: lost)
+        with pytest.raises(
+            InvariantViolation, match=r"^subgroup lost under isotopy: not closed: 2\*2 = 1$"
+        ):
+            smarandache_principal_isotope(z4_ctx, 0, 2)
+
+    def test_each_context_certifies_its_subgroup_once(self, z4, monkeypatch):
+        calls = []
+        real = loop_core.subgroup_violation
+
+        def counted(L, elements):
+            calls.append(tuple(elements))
+            return real(L, elements)
+
+        monkeypatch.setattr(loop_core, "subgroup_violation", counted)
+        monkeypatch.setattr(isotopy, "subgroup_violation", counted, raising=False)
+        ctx = s_loop_context(z4, [0, 2])
+        assert calls == [(0, 2)]
+        calls.clear()
+        smarandache_principal_isotope(ctx, 0, 2)
+        assert calls == [(0, 2)]
 
 
 class TestIsotopeRecordText:

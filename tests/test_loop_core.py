@@ -191,7 +191,7 @@ class TestSLoopContext:
         assert len(ctx.h) == 2
 
     def test_rejects_non_subgroup(self, z4):
-        with pytest.raises(NotSLoop):
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: not closed: 1\*1 = 2$"):
             s_loop_context(z4, [0, 1])
 
     def test_rejects_trivial_and_full(self, z4):
