@@ -106,13 +106,15 @@ def generate_loops(
     """Stream every normalized loop of order n, with optional filters.
 
     The unbounded order-6 run produces 9408 entries, so it must be opted
-    into explicitly.  Order checks happen at call time, before the stream
-    is touched.
+    into explicitly.  Order and limit checks happen at call time, before
+    the stream is touched.
     """
     if n < 2 or n > 6:
         raise OrderTooLarge(f"exhaustive generation covers orders 2..6, got {n}")
     if n == 6 and limit is None and not allow_order_six:
         raise OrderTooLarge("order-6 exhaustive run requires allow_order_six=True")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
 
     def stream() -> Iterator[CatalogEntry]:
         produced = 0
@@ -132,11 +134,14 @@ def generate_loops(
 
 
 def read_table(path) -> LoopTable:
-    """Parse a table file; a file that is not ASCII text is a ParseError
-    naming the path."""
+    """Parse a table file; every failure but an OSError is a ParseError whose
+    message starts with the path.  A ParseError keeps its line and column."""
     try:
         return parse_table(Path(path).read_text(encoding="ascii"))
-    except (ParseError, OSError):
+    except OSError:
+        raise
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -170,8 +175,12 @@ def iter_catalog(dir_path) -> list[tuple[str, Path]]:
     base = Path(dir_path)
     index = base / INDEX_NAME
     if index.exists():
+        try:
+            text = index.read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{index}: {exc}") from None
         pairs = []
-        for lineno, line in enumerate(index.read_text(encoding="ascii").splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if lineno == 1 and line.startswith("id\t"):
                 continue
             if not line.strip():

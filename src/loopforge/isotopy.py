@@ -2,8 +2,10 @@
 
 An autotopism of (G, *) is a triple (U, V, W) of permutations with
 U(x) * V(y) = W(x * y) for all x, y.  The diagonal case U = V = W is an
-automorphism.  Searches run a propagating backtracker; plain brute force
-lives in the test suite as an oracle.
+automorphism.  With a = U(e) and b = V(e), U is an isomorphism of the
+loop onto its isotope p o q = (p * (a \\ (q * b))) / b, so autotopisms and
+isomorphisms come from one propagating backtracker; plain brute force lives
+in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -155,73 +157,26 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     """All autotopisms of L, sorted by component images.
 
     Any autotopism satisfies W = U . R_b and V = L_a^-1 . W for a = U(e),
-    b = V(e), so the search backtracks over U with b as a free outer choice,
-    forcing U(x*y) from U(x) and U(y).
+    b = V(e).  So U is an isomorphism of L onto the isotope
+    p o q = (p * (a \\ (q * b))) / b, whose identity is a, and the search is
+    one isomorphism search per pair (a, b).
     """
     n = L.n
     _check_cap(n, cap)
-    t = L.table
-    ld = L.ldiv
-    rd = L.rdiv
-    e = L.e
-    order = [e] + [x for x in range(n) if x != e]
+    t, ld, rd = L.table, L.ldiv, L.rdiv
     results = []
-
-    u = [-1] * n
-    used = [False] * n
-
-    def assign(x: int, v: int, b: int, trail: list) -> bool:
-        stack = [(x, v)]
-        while stack:
-            x, v = stack.pop()
-            cur = u[x]
-            if cur != -1:
-                if cur != v:
-                    return False
-                continue
-            if used[v]:
-                return False
-            u[x] = v
-            used[v] = True
-            trail.append(x)
-            a = u[e]
-            for y in range(n):
-                w = u[y]
-                if w == -1:
-                    continue
-                stack.append((t[x][y], rd[t[v][ld[a][t[w][b]]]][b]))
-                if y != x:
-                    stack.append((t[y][x], rd[t[w][ld[a][t[v][b]]]][b]))
-        return True
-
-    def dfs(depth: int, b: int) -> None:
-        x = -1
-        for i in order:
-            if u[i] == -1:
-                x = i
-                break
-        if x == -1:
-            a = u[e]
-            w_imgs = tuple(t[u[i]][b] for i in range(n))
-            v_imgs = tuple(ld[a][wv] for wv in w_imgs)
-            cand = Autotopism(Perm(u), Perm(v_imgs), Perm(w_imgs))
-            if not cand.holds_for(L):
-                raise InvariantViolation(f"search produced a non-autotopism {cand.key()}")
-            results.append(cand)
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            trail = []
-            if assign(x, v, b, trail):
-                dfs(depth + 1, b)
-            for p in reversed(trail):
-                used[u[p]] = False
-                u[p] = -1
-
+    # p o q = beta(p * alpha(q)) with alpha(q) = a \ (q * b), beta(r) = r / b.
     for b in range(n):
-        dfs(0, b)
-
+        col_b = [row[b] for row in t]
+        beta = [row[b] for row in rd]
+        for a in range(n):
+            alpha = list(map(ld[a].__getitem__, col_b))
+            for u in _isomorphism_search(t, L.e, t, a, alpha, beta):
+                w = tuple(t[x][b] for x in u)
+                cand = Autotopism(Perm(u), Perm(ld[a][z] for z in w), Perm(w))
+                if not cand.holds_for(L):
+                    raise InvariantViolation(f"search produced a non-autotopism {cand.key()}")
+                results.append(cand)
     results.sort(key=Autotopism.key)
     violation = autotopism_set_violation(results, n)
     if violation is not None:
@@ -253,17 +208,14 @@ def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord)
     return out
 
 
-def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
-    """All bijections A with A(x) * A(y) = A(x * y) from L1 onto L2.
+def _isomorphism_search(t1: list, e1: int, t2: list, e2: int, alpha, beta) -> list[tuple]:
+    """Image tuples of every bijection A with A(x * y) = beta(A(x) * alpha(A(y))),
+    x * y read in t1 and the right-hand product in t2, in lexicographic order.
 
-    Backtracks point by point; each assignment forces the image of every
+    A(e1) = e2 is pinned, and each assignment forces the image of every
     product with an already-assigned point.
     """
-    if L1.n != L2.n:
-        return []
-    n = L1.n
-    _check_cap(n, cap)
-    t1, t2 = L1.table, L2.table
+    n = len(t1)
     img = [-1] * n
     used = [False] * n
     found = []
@@ -282,13 +234,14 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
             img[x] = v
             used[v] = True
             trail.append(x)
+            row_x, row_v, av = t1[x], t2[v], alpha[v]
             for y in range(n):
                 w = img[y]
                 if w == -1:
                     continue
-                stack.append((t1[x][y], t2[v][w]))
+                stack.append((row_x[y], beta[row_v[alpha[w]]]))
                 if y != x:
-                    stack.append((t1[y][x], t2[w][v]))
+                    stack.append((t1[y][x], beta[t2[w][av]]))
         return True
 
     def dfs() -> None:
@@ -298,9 +251,7 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
                 x = i
                 break
         if x == -1:
-            if any(t2[img[a]][img[b]] != img[t1[a][b]] for a in range(n) for b in range(n)):
-                raise InvariantViolation(f"search produced a non-isomorphism {img}")
-            found.append(Perm(img))
+            found.append(tuple(img))
             return
         for v in range(n):
             if used[v]:
@@ -312,8 +263,24 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
                 used[img[p]] = False
                 img[p] = -1
 
-    dfs()
-    found.sort(key=lambda p: p.images)
+    if assign(e1, e2, []):
+        dfs()
+    return found
+
+
+def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
+    """All bijections A with A(x) * A(y) = A(x * y) from L1 onto L2, sorted."""
+    if L1.n != L2.n:
+        return []
+    n = L1.n
+    _check_cap(n, cap)
+    t1, t2 = L1.table, L2.table
+    ident = list(range(n))
+    found = []
+    for img in _isomorphism_search(t1, L1.e, t2, L2.e, ident, ident):
+        if any(t2[img[a]][img[b]] != img[t1[a][b]] for a in range(n) for b in range(n)):
+            raise InvariantViolation(f"search produced a non-isomorphism {list(img)}")
+        found.append(Perm(img))
     return found
 
 

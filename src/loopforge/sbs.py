@@ -119,20 +119,6 @@ def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
     return GroupOfPerms(tuple(members), "SSYM")
 
 
-def _special_law_holds(L: LoopTable, theta_imgs: tuple, f: int, g: int) -> bool:
-    """Whether (theta . R_g^-1, theta . L_f^-1, theta) is an autotopism."""
-    t = L.table
-    ld = L.ldiv[f]
-    rd = L.rdiv
-    for x in range(L.n):
-        row = t[rd[theta_imgs[x]][g]]
-        tx = t[x]
-        for y in range(L.n):
-            if row[ld[theta_imgs[y]]] != theta_imgs[tx[y]]:
-                return False
-    return True
-
-
 def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list:
     """All (f, g) whose triple with theta passes the autotopism law.
 
@@ -140,12 +126,16 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list:
     only n candidate pairs need the full check; the unrestricted scan stays
     in the test suite as an oracle.
     """
-    te = theta.images[L.e]
+    imgs = theta.images
     domain = range(L.n) if restrict_to is None else restrict_to.elements
     out = []
     for f in domain:
-        g = L.ldiv[f][te]
-        if g in domain and _special_law_holds(L, theta.images, f, g):
+        g = L.ldiv[f][imgs[L.e]]
+        if g not in domain:
+            continue
+        u = Perm(L.rdiv[z][g] for z in imgs)
+        v = Perm(L.ldiv[f][z] for z in imgs)
+        if Autotopism(u, v, theta).holds_for(L):
             out.append(SpecialMapWitness(theta, f, g))
     return out
 

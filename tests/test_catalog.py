@@ -121,8 +121,10 @@ class TestStorage:
     def test_read_reports_file_errors_as_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.loop"
         bad.write_text("2\n0 1\nnope\n", encoding="ascii")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             read_table(bad)
+        assert str(exc.value) == f"{bad}: line 3: expected 2 entries, found 1"
+        assert (exc.value.line, exc.value.column) == (3, None)
 
     def test_catalog_layout(self, tmp_path):
         count = write_catalog(generate_loops(4), tmp_path / "cat")

@@ -179,7 +179,7 @@ def test_table_error_wins_over_malformed_subgroup(command, tmp_path, capsys):
     bad = tmp_path / "bad.loop"
     bad.write_text("2\n0 1\n", encoding="ascii")
     assert main([command, str(bad), "--subgroup", "0,x"]) == 2
-    assert capsys.readouterr().err == "error: line 1: expected 2 rows, found 1\n"
+    assert capsys.readouterr().err == f"error: {bad}: line 1: expected 2 rows, found 1\n"
 
 
 class TestVerifyDir:
@@ -259,6 +259,15 @@ class TestVerifyDir:
             assert rows[path.stem] == {"id": path.stem, "status": "ok", "summary": "16/16 passed"}
             assert (catalog_dir / f"{path.stem}.report.json").exists()
 
+    def test_non_ascii_index_is_named(self, catalog_dir, capsys):
+        index = catalog_dir / "index.tsv"
+        index.write_bytes(b"id\torder\xc3\n" + index.read_bytes())
+        capsys.readouterr()
+        assert main(["verify", str(catalog_dir)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {index}: 'ascii' codec can't decode byte 0xc3 in position 8:"
+        )
+
     def test_invariant_violation_outside_a_check_is_an_error(
         self, catalog_dir, monkeypatch, capsys
     ):
@@ -282,6 +291,12 @@ class TestGenerate:
         assert main(["generate", "--json", "4", str(tmp_path / "cat")]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entries"] == 4
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_an_error(self, limit, tmp_path, capsys):
+        assert main(["generate", "4", str(tmp_path / "cat"), "--limit", limit]) == 2
+        assert capsys.readouterr().err == f"error: limit must be at least 1, got {limit}\n"
+        assert not (tmp_path / "cat").exists()
 
     def test_order_6_needs_flag(self, tmp_path, capsys):
         assert main(["generate", "6", str(tmp_path / "cat6")]) == 2

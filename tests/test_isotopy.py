@@ -166,10 +166,11 @@ class TestAutotopisms:
             found = [a.key() for a in autotopism_group(L)]
             assert found == brute_autotopisms_triples(L)
 
-    def test_matches_pair_oracle_n5(self, n5):
-        found = [a.key() for a in autotopism_group(n5)]
-        assert found == brute_autotopisms_pairs(n5)
-        assert len(found) == 12
+    def test_matches_pair_oracle_order_5(self, n5):
+        assert len(autotopism_group(n5)) == 12
+        for entry in generate_loops(5):
+            found = [a.key() for a in autotopism_group(entry.loop)]
+            assert found == brute_autotopisms_pairs(entry.loop)
 
     def test_sizes_for_abelian_groups(self, z4, klein):
         # for an abelian group: |AUT| = n^2 * |AUM|
@@ -223,12 +224,15 @@ class TestIsomorphisms:
     def test_degree_mismatch_is_empty(self, z3, z4):
         assert isomorphisms(z3, z4) == []
 
-    def test_matches_oracle(self, z4, z5, klein, n5):
-        for L1 in (z4, klein):
-            for L2 in (z4, klein):
-                got = [p.images for p in isomorphisms(L1, L2)]
-                assert got == brute_isomorphisms(L1, L2)
-        assert [p.images for p in isomorphisms(n5, n5)] == brute_isomorphisms(n5, n5)
+    def test_matches_oracle(self, z3, z4, klein, n5, loop_3x3_shifted):
+        pairs = [(L1, L2) for L1 in (z4, klein) for L2 in (z4, klein)]
+        pairs += [(n5, n5), (z3, loop_3x3_shifted), (loop_3x3_shifted, z3)]
+        # Isotopes have the identity f * g, so most pairs have two identities.
+        for entry in generate_loops(5):
+            L = entry.loop
+            pairs += [(L, principal_isotope(L, f, g).result) for f in range(5) for g in range(5)]
+        for L1, L2 in pairs:
+            assert [p.images for p in isomorphisms(L1, L2)] == brute_isomorphisms(L1, L2)
 
     def test_automorphism_groups(self, z4, z5, klein, n5):
         assert [p.images for p in automorphism_group(z4)] == [(0, 1, 2, 3), (0, 3, 2, 1)]
