@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog
@@ -27,27 +26,10 @@ SIZES = (
 )
 
 
-@dataclass
-class CliConfig:
-    search_cap: int = DEFAULT_SEARCH_CAP
-    jobs: int = 1
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.search_cap < 2:
-            raise ValueError(f"search cap must be at least 2, got {self.search_cap}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-
-def _config(args) -> CliConfig:
-    return CliConfig(
-        search_cap=getattr(args, "search_cap", DEFAULT_SEARCH_CAP),
-        jobs=getattr(args, "jobs", 1),
-        output_format="json" if getattr(args, "json", False) else "text",
-    )
+# Version of the report document the cache stores.  Bump it whenever the
+# document's keys or text change, so that caches written by another version
+# miss; tests/test_cli.py pins Z4's document hash to this value.
+REPORT_FORMAT = 2
 
 
 def _parse_subgroup(text: str) -> list[int]:
@@ -114,20 +96,23 @@ def _verify_file(
     the rows _select picks from it.
 
     The document comes from verify_theorems or from the report cache, which
-    stores it path-free, keyed by content id; "file" always names the path
-    being verified.  A table error wins over a malformed --subgroup, which
-    wins over the search cap; the cap is enforced before the cache is read,
-    so a cached report never lifts it.
+    stores it path-free, keyed by content id and stamped with REPORT_FORMAT;
+    an entry with another stamp, or none, is recomputed and rewritten.
+    "file" always names the path being verified.  A table error wins over a
+    malformed --subgroup, which wins over the search cap; the cap is enforced
+    before the cache is read, so a cached report never lifts it.
     """
     L = catalog.read_table(path)
     wanted = _parse_subgroup(subgroup) if subgroup else None
     _check_cap(L.n, cap)
     cache = catalog.report_cache_dir()
     cache_path = cache / f"{catalog.content_id(L)}.report.json" if cache else None
+    doc = None
     if cache_path is not None and cache_path.exists():
         doc = json.loads(cache_path.read_text(encoding="ascii"))
-        doc.pop("file", None)  # caches written before reports were path-free
-    else:
+        if doc.pop("format", None) != REPORT_FORMAT:
+            doc = None
+    if doc is None:
         ver = verify_theorems(L, cap=cap)
         doc = {
             "id": catalog.content_id(L),
@@ -137,13 +122,13 @@ def _verify_file(
             "aggregate": ver.aggregate.to_json_dict(),
         }
         if cache_path is not None:
-            _write_atomic(cache_path, json.dumps(doc, indent=2) + "\n")
+            stamped = {"format": REPORT_FORMAT, **doc}
+            _write_atomic(cache_path, json.dumps(stamped, indent=2) + "\n")
     doc = {"file": str(path), **doc}
     return doc, _select(L, doc, theorem, wanted)
 
 
 def cmd_validate(args) -> int:
-    cfg = _config(args)
     L = catalog.read_table(args.file)
     subs = s_subgroups(L)
     doc = {
@@ -155,7 +140,7 @@ def cmd_validate(args) -> int:
         "associative": L.associative,
         "s_subgroups": [list(h.elements) for h in subs],
     }
-    if cfg.output_format == "json":
+    if args.json:
         _emit(doc)
     else:
         groups = " ".join("{" + ",".join(map(str, h.elements)) + "}" for h in subs) or "none"
@@ -167,9 +152,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
-    doc, rows = _verify_file(args.file, cfg.search_cap, subgroup=args.subgroup)
-    if cfg.output_format == "json":
+    doc, rows = _verify_file(args.file, args.search_cap, subgroup=args.subgroup)
+    if args.json:
         if args.subgroup:
             scope = rows[0][0]  # the one report the subgroup picked
             doc["subgroups"] = [doc["subgroups"][scope]]
@@ -216,14 +200,14 @@ def _worker(job: tuple) -> tuple:
     return ("fail" if _failed(rows) else "ok", json.dumps(doc, indent=2) + "\n", summary)
 
 
-def _verify_dir(args, cfg: CliConfig) -> int:
+def _verify_dir(args) -> int:
     base = Path(args.target)
     entries = catalog.iter_catalog(base)
     if not entries:
         raise LoopforgeError(f"{base}: no catalog entries found")
-    jobs = [(str(path), cfg.search_cap, args.theorem) for _, path in entries]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    jobs = [(str(path), args.search_cap, args.theorem) for _, path in entries]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]
@@ -236,7 +220,7 @@ def _verify_dir(args, cfg: CliConfig) -> int:
         rows.append((entry_id, status, summary))
         counts[status] += 1
 
-    if cfg.output_format == "json":
+    if args.json:
         _emit(
             {
                 "dir": str(base),
@@ -260,7 +244,6 @@ def _verify_dir(args, cfg: CliConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.theorem != "all" and args.theorem not in CHECK_KEYS:
         raise LoopforgeError(
             f"unknown theorem selector {args.theorem!r}; choose from {', '.join(CHECK_KEYS)} or all"
@@ -268,10 +251,10 @@ def cmd_verify(args) -> int:
     if os.path.isdir(args.target):
         if args.subgroup:
             raise LoopforgeError("--subgroup applies to single-file verification only")
-        return _verify_dir(args, cfg)
+        return _verify_dir(args)
 
-    doc, rows = _verify_file(args.target, cfg.search_cap, args.theorem, args.subgroup)
-    if cfg.output_format == "json":
+    doc, rows = _verify_file(args.target, args.search_cap, args.theorem, args.subgroup)
+    if args.json:
         checks = [{"scope": _scope(doc, scope), "key": key, **res} for scope, key, res in rows]
         _emit({"file": str(args.target), "checks": checks, "failed": _failed(rows)})
     else:
@@ -283,7 +266,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = _config(args)
     entries = catalog.generate_loops(
         args.order,
         nonassociative=args.nonassociative,
@@ -292,7 +274,7 @@ def cmd_generate(args) -> int:
         allow_order_six=args.allow_order_6,
     )
     count = catalog.write_catalog(entries, args.out_dir)
-    if cfg.output_format == "json":
+    if args.json:
         _emit({"dir": str(args.out_dir), "order": args.order, "entries": count})
     else:
         print(f"{args.out_dir}: wrote {count} order-{args.order} entries")
@@ -367,6 +349,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "search_cap", DEFAULT_SEARCH_CAP) < 2:
+            raise LoopforgeError(f"search cap must be at least 2, got {args.search_cap}")
+        if getattr(args, "jobs", 1) < 1:
+            raise LoopforgeError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,9 +31,6 @@ class LoopTable:
         self._ldiv = None
         self._rdiv = None
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     @property
     def ldiv(self) -> tuple:
         if self._ldiv is None:

@@ -25,7 +25,6 @@ from .isotopy import (
     Autotopism,
     _check_cap,
     autotopism_group,
-    autotopism_product,
     autotopism_set_violation,
     automorphism_group,
     diagonal,
@@ -34,7 +33,7 @@ from .isotopy import (
     transport_autotopisms,
 )
 from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
-from .perm import Perm, compose, compose_images, group_violation, identity
+from .perm import Perm, compose_images, group_violation, identity
 
 CHECK_KEYS = (
     "t10", "c11", "t12", "t12_1", "t8", "t13", "t14", "t15",
@@ -322,13 +321,18 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
     Check keys and what they witness:
       t10    SBS is contained in BS (closure of SBS is checked by t16)
       c11    SBS sits inside SSYM, of size |H|! (n - |H|)!
-      t12    subgroup-parameter isotopes are loops keeping H as a subgroup
+      t12    subgroup-parameter isotopes keep H as a subgroup (an isotope that
+             is not a loop, or has the wrong identity, raises while it is
+             built, so verify_theorems raises instead of reporting a fail)
       t12_1  the reversed parameter pair reconstructs the original table
-      t8     SBS from AUT and from the isotope-isomorphism search agree
+      t8     SBS from AUT and from the isotope-isomorphism search agree (one
+             count per route)
       t13    every subgroup-parameter isotope has the same SBS (AUT carried over)
       t14    |BS| is |SBS| times an integer index (aggregate: averaged form)
       t15    omega is a subgroup of the full autotopism group
-      t16    third-component projection respects composition
+      t16    SBS is closed under composition: the triple product is
+             componentwise, so this is what projecting omega onto SBS
+             multiplicatively asks
       t17    kernel elements are exactly the nucleus-in-subgroup pairs
       t18    |omega| = |SBS| * |ker|, with |ker| = |N_mu intersect H|
       t19    |omega| = |theta| * |SA|
@@ -380,15 +384,14 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
 
         def check_c11():
             extra = sorted(p for p in sbs_set if any(p[x] not in hset for x in hset))
-            detail = f"|SBS|={len(sbs_set)} |SSYM|={ssym_size} expected |SSYM|={ssym_size}"
+            detail = f"|SBS|={len(sbs_set)} |SSYM|={ssym_size}"
             if extra:
                 detail += f" outside SSYM: {extra}"
             return _result(not extra, detail)
 
         def check_t12():
+            # principal_isotope already raised on a non-loop or a wrong identity.
             for (f, g), record, _ in isos:
-                if record.result.e != L.table[f][g]:
-                    return _result(False, f"isotope ({f},{g}) identity {record.result.e}")
                 violation = subgroup_violation(record.result, hsub.elements)
                 if violation is not None:
                     return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
@@ -403,22 +406,11 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
 
         def check_t8():
             # Isomorphisms are injective, so a map sending H into H sends it onto H.
-            via_iso_onto = set()
-            via_iso_into = set()
-            for _, _, found in isos:
-                for a in found:
-                    image = {a.images[x] for x in hset}
-                    if image <= hset:
-                        via_iso_into.add(a.images)
-                    if image == hset:
-                        via_iso_onto.add(a.images)
-            ok = via_iso_onto == sbs_set
-            detail = (
-                f"witness route {len(sbs_set)}, isotope route {len(via_iso_onto)} (onto)"
-                f" / {len(via_iso_into)} (into)"
-            )
+            via_iso = {a.images for _, _, found in isos for a in found if _keeps(a, hset)}
+            ok = via_iso == sbs_set
+            detail = f"witness route {len(sbs_set)}, isotope route {len(via_iso)}"
             if not ok:
-                diff = sorted(via_iso_onto ^ sbs_set)
+                diff = sorted(via_iso ^ sbs_set)
                 detail += f" difference: {diff}"
             return _result(ok, detail)
 
@@ -449,14 +441,13 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
             return _result(violation is None, detail)
 
         def check_t16():
-            for a in om:
-                for b in om:
-                    prod = autotopism_product(a.autotopism, b.autotopism)
-                    if prod.w != compose(a.autotopism.w, b.autotopism.w):
-                        return _result(False, "projection broke on a product")
-                    if prod.w.images not in sbs_set:
-                        return _result(False, f"projected product {prod.w.images} outside SBS")
-            return _result(True, f"homomorphism verified on {len(om)}^2 pairs")
+            # The triple product is componentwise, so the projected products
+            # of omega lie in SBS exactly when SBS is closed.
+            violation = check_perm_group(sorted({el.autotopism.w for el in om}))
+            detail = f"|SBS|={len(sbs_set)}"
+            if violation is not None:
+                return _result(False, f"{detail} SBS is not a group: {violation}")
+            return _result(True, f"{detail} closed under composition")
 
         def check_t17():
             expected = set()

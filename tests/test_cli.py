@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from loopforge import (
     write_table,
 )
 from loopforge import catalog, sbs
-from loopforge.cli import main
+from loopforge.cli import REPORT_FORMAT, main
 
 
 @pytest.fixture
@@ -343,6 +344,44 @@ class TestReportCache:
         cached[0].write_text(json.dumps(doc), encoding="ascii")
         assert main([command, z4_file]) == 1
         assert poisoned in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stamp", [None, REPORT_FORMAT - 1], ids=["unstamped", "older"])
+    def test_other_report_formats_miss(self, stamp, z4_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+        capsys.readouterr()
+        assert main(["verify", z4_file]) == 0
+        uncached = capsys.readouterr()
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
+        assert main(["verify", z4_file]) == 0
+        capsys.readouterr()
+        entry = cache / "d29ea407de45234b.report.json"
+        doc = json.loads(entry.read_text(encoding="ascii"))
+        assert doc.pop("format") == REPORT_FORMAT
+        if stamp is not None:
+            doc = {"format": stamp, **doc}
+        doc["reports"][0]["checks"]["t10"]["status"] = "fail"
+        entry.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
+
+        assert main(["verify", z4_file]) == 0
+        assert capsys.readouterr() == uncached
+        rewritten = json.loads(entry.read_text(encoding="ascii"))
+        assert rewritten["format"] == REPORT_FORMAT
+        assert rewritten["reports"][0]["checks"]["t10"]["status"] == "pass"
+
+    def test_report_format_pins_the_z4_document(self, z4_file, monkeypatch, capsys):
+        # A change to the report text must bump REPORT_FORMAT, so that caches
+        # written before the change miss; then re-pin both values together.
+        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+        capsys.readouterr()
+        assert main(["analyze", "--json", z4_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("file") == z4_file
+        digest = hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
+        assert (REPORT_FORMAT, digest) == (
+            2, "bd0beb27447458f373777b67b3e5ba390026ec8ec87bbe4f4db477d47dd6a2c9"
+        )
 
     def test_cached_report_names_the_verified_path(self, z4_file, tmp_path, monkeypatch):
         monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)

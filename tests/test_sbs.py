@@ -26,6 +26,7 @@ from loopforge import (
     special_witnesses,
     ssym,
     theta_set,
+    validate_table,
     verify_theorems,
 )
 
@@ -425,6 +426,61 @@ class TestVerifyTheorems:
         ver = verify_theorems(klein)
         assert ver.all_pass()
         assert [rep.subgroup for rep in ver.reports] == [(0, 1), (0, 2), (0, 3)]
+
+
+def _group_table(elements, product):
+    index = {x: i for i, x in enumerate(elements)}
+    return validate_table([[index[product(x, y)] for y in elements] for x in elements])
+
+
+def z2_x_z4():
+    return _group_table(
+        [(a, b) for a in range(2) for b in range(4)],
+        lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4),
+    )
+
+
+def dihedral_8():
+    # r^i s^j as (i, j); s r = r^-1 s.
+    return _group_table(
+        [(i, j) for j in range(2) for i in range(4)],
+        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2),
+    )
+
+
+class TestOrder8Groups:
+    """Frozen values for two order-8 groups with a non-trivial nucleus.
+
+    For a group, ker pi_3 is N_mu = G, so |BS| = |G| * |Aut(G)| = 8 * 8.
+    """
+
+    @pytest.mark.parametrize(
+        "make, per_subgroup",
+        [
+            (
+                z2_x_z4,
+                {(2, 8, 4, 16, 4, 2): 2, (2, 16, 8, 32, 4, 2): 1,
+                 (4, 16, 4, 64, 16, 4): 2, (4, 32, 8, 128, 16, 4): 1},
+            ),
+            (
+                dihedral_8,
+                {(2, 4, 2, 8, 4, 2): 4, (2, 16, 8, 32, 4, 2): 1,
+                 (4, 16, 4, 64, 16, 4): 2, (4, 32, 8, 128, 16, 4): 1},
+            ),
+        ],
+        ids=["Z2xZ4", "D4"],
+    )
+    def test_frozen_values(self, make, per_subgroup):
+        ver = verify_theorems(make())
+        assert ver.aggregate.bs == 64
+        assert ver.aggregate.checks["t14"].status == "pass"
+        seen = {}
+        for rep in ver.reports:
+            assert (rep.bs, rep.aut, rep.aum, rep.n_mu) == (64, 512, 8, 8)
+            assert {res.status for res in rep.checks.values()} == {"pass"}
+            sizes = (rep.h, rep.sbs, rep.sa, rep.omega, rep.theta, rep.ker_phi)
+            seen[sizes] = seen.get(sizes, 0) + 1
+        assert seen == per_subgroup
 
 
 class TestJsonShape:
