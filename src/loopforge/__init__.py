@@ -3,7 +3,9 @@
 Everything an analysis needs is re-exported here: permutations, validated
 loop tables, principal isotopes, autotopism and isomorphism searches, the
 Bryant-Schneider group and its Smarandache relatives, exhaustive catalogs
-of small orders, and the theorem verifier behind the CLI.
+of small orders, and the theorem verifier behind the CLI.  The groups are
+sorted lists of Perm, and omega and ker_phi are lists of Autotopism whose
+witness pair is (a.u.images[e], a.v.images[e]).
 """
 
 from .catalog import (
@@ -70,15 +72,11 @@ from .sbs import (
     AggregateReport,
     CardinalityReport,
     CheckResult,
-    GroupOfPerms,
     LoopVerification,
-    OmegaElement,
-    SpecialMapWitness,
     bs_group,
     check_perm_group,
     ker_phi,
     omega,
-    phi_project,
     sa_group,
     sbs_group,
     special_witnesses,

@@ -30,6 +30,8 @@ SIZES = (
 # document's keys or text change, so that caches written by another version
 # miss; tests/test_cli.py pins Z4's document hash to this value.
 REPORT_FORMAT = 2
+# Top-level keys of a cache entry, in the order _verify_file writes them.
+CACHE_KEYS = ["format", "id", "order", "subgroups", "reports", "aggregate"]
 
 
 def _parse_subgroup(text: str) -> list[int]:
@@ -97,7 +99,8 @@ def _verify_file(
 
     The document comes from verify_theorems or from the report cache, which
     stores it path-free, keyed by content id and stamped with REPORT_FORMAT;
-    an entry with another stamp, or none, is recomputed and rewritten.
+    an entry that is not an ASCII JSON object with exactly CACHE_KEYS and
+    this stamp is a miss, so it is recomputed and rewritten.
     "file" always names the path being verified.  A table error wins over a
     malformed --subgroup, which wins over the search cap; the cap is enforced
     before the cache is read, so a cached report never lifts it.
@@ -108,10 +111,13 @@ def _verify_file(
     cache = catalog.report_cache_dir()
     cache_path = cache / f"{catalog.content_id(L)}.report.json" if cache else None
     doc = None
-    if cache_path is not None and cache_path.exists():
-        doc = json.loads(cache_path.read_text(encoding="ascii"))
-        if doc.pop("format", None) != REPORT_FORMAT:
-            doc = None
+    if cache_path is not None:
+        try:
+            doc = json.loads(cache_path.read_text(encoding="ascii"))
+        except (OSError, ValueError):
+            pass
+        usable = isinstance(doc, dict) and list(doc) == CACHE_KEYS
+        doc = doc if usable and doc.pop("format") == REPORT_FORMAT else None
     if doc is None:
         ver = verify_theorems(L, cap=cap)
         doc = {

@@ -10,7 +10,10 @@ by the middle nucleus.
 
 Every autotopism (U, V, W) has this special shape with theta = W and
 witness (f, g) = (U(e), V(e)), so all of these objects are projections or
-filters of one autotopism_group result.
+filters of one autotopism_group result.  The groups come back as sorted
+lists of Perm, omega and its kernel as lists of Autotopism whose witness is
+read off as (a.u.images[e], a.v.images[e]), and special_witnesses as
+(f, g) pairs.
 """
 
 from __future__ import annotations
@@ -40,50 +43,6 @@ CHECK_KEYS = (
     "t16", "t17", "t18", "t19", "t20", "c21", "c23",
 )
 
-GROUP_LABELS = ("SYM", "SSYM", "AUM", "SA", "BS", "SBS")
-
-
-@dataclass(frozen=True)
-class SpecialMapWitness:
-    """A pair (f, g) certifying theta as special."""
-
-    theta: Perm
-    f: int
-    g: int
-
-
-@dataclass(frozen=True)
-class OmegaElement:
-    """An autotopism of the special shape together with its witness."""
-
-    autotopism: Autotopism
-    witness: SpecialMapWitness
-
-
-@dataclass(frozen=True)
-class GroupOfPerms:
-    """A labelled, sorted collection of permutations forming a group."""
-
-    members: tuple
-    label: str
-
-    def __post_init__(self):
-        if self.label not in GROUP_LABELS:
-            raise InvariantViolation(f"unknown group label {self.label!r}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in set(self.members)
-
-    def member_set(self) -> frozenset:
-        return frozenset(p.images for p in self.members)
-
-
 def check_perm_group(perms) -> str | None:
     """Closure/identity violation for equal-degree perms, or None."""
     members = [p.images for p in perms]
@@ -97,8 +56,8 @@ def _keeps(p: Perm, hset) -> bool:
     return all(p.images[x] in hset for x in hset)
 
 
-def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
-    """All permutations mapping the subgroup into itself.
+def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
+    """All permutations mapping the subgroup into itself, sorted.
 
     Bijectivity forces the subgroup and its complement to be stabilized
     setwise, so there are |H|! * (n - |H|)! members.
@@ -115,10 +74,10 @@ def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
                 imgs[src] = dst
             members.append(Perm(imgs))
     members.sort(key=lambda p: p.images)
-    return GroupOfPerms(tuple(members), "SSYM")
+    return members
 
 
-def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list:
+def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list[tuple[int, int]]:
     """All (f, g) whose triple with theta passes the autotopism law.
 
     Every witness satisfies f * g = theta(e), so g is determined by f and
@@ -135,19 +94,16 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list:
         u = Perm(L.rdiv[z][g] for z in imgs)
         v = Perm(L.ldiv[f][z] for z in imgs)
         if Autotopism(u, v, theta).holds_for(L):
-            out.append(SpecialMapWitness(theta, f, g))
+            out.append((f, g))
     return out
 
 
-def _omega_of(aut: list[Autotopism], e: int, hset) -> list[OmegaElement]:
-    """The triples of aut with U(e), V(e) in H and W(H) inside H, each with
-    its witness (U(e), V(e)), in aut's order."""
-    out = []
-    for a in aut:
-        f, g = a.u.images[e], a.v.images[e]
-        if f in hset and g in hset and _keeps(a.w, hset):
-            out.append(OmegaElement(a, SpecialMapWitness(a.w, f, g)))
-    return out
+def _omega_of(aut: list[Autotopism], e: int, hset) -> list[Autotopism]:
+    """The triples of aut with U(e), V(e) in H and W(H) inside H, in aut's
+    order."""
+    return [
+        a for a in aut if a.u.images[e] in hset and a.v.images[e] in hset and _keeps(a.w, hset)
+    ]
 
 
 def _isotope_isomorphisms(L: LoopTable, h: tuple, cap: int) -> list[tuple]:
@@ -166,30 +122,30 @@ def _theta_of(isos: list[tuple], hset) -> list[tuple[int, int]]:
     return [pair for pair, _, found in isos if any(_keeps(a, hset) for a in found)]
 
 
-def bs_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
-    """The Bryant-Schneider group: third components of the autotopisms."""
-    return GroupOfPerms(tuple(sorted({a.w for a in autotopism_group(L, cap=cap)})), "BS")
+def bs_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
+    """The Bryant-Schneider group, sorted: third components of the autotopisms."""
+    return sorted({a.w for a in autotopism_group(L, cap=cap)})
 
 
-def sbs_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
-    """The Smarandache Bryant-Schneider group relative to ctx.h: the third
-    components of omega."""
-    return GroupOfPerms(tuple(sorted({el.autotopism.w for el in omega(ctx, cap=cap)})), "SBS")
+def sbs_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
+    """The Smarandache Bryant-Schneider group relative to ctx.h, sorted: the
+    third components of omega."""
+    return sorted({a.w for a in omega(ctx, cap=cap)})
 
 
-def sa_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> GroupOfPerms:
-    """Subgroup-stabilizing automorphisms: the intersection of SSYM and AUM."""
+def sa_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
+    """Subgroup-stabilizing automorphisms, sorted: SSYM meet AUM."""
     hset = set(ctx.h.elements)
-    members = [a for a in automorphism_group(ctx.loop, cap=cap) if _keeps(a, hset)]
-    return GroupOfPerms(tuple(members), "SA")
+    return [a for a in automorphism_group(ctx.loop, cap=cap) if _keeps(a, hset)]
 
 
-def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[OmegaElement]:
+def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
     """All autotopisms (theta . R_g^-1, theta . L_f^-1, theta) with f, g in
-    the subgroup and theta stabilizing it, sorted by triple."""
+    the subgroup and theta stabilizing it, sorted by triple; the witness of
+    a is (f, g) = (a.u.images[e], a.v.images[e])."""
     L = ctx.loop
     elements = _omega_of(autotopism_group(L, cap=cap), L.e, set(ctx.h.elements))
-    violation = autotopism_set_violation([el.autotopism for el in elements], L.n)
+    violation = autotopism_set_violation(elements, L.n)
     if violation is not None:
         raise InvariantViolation(f"omega is not a group: {violation}")
     return elements
@@ -205,13 +161,7 @@ def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[in
     return _theta_of(_isotope_isomorphisms(ctx.loop, ctx.h.elements, cap), set(ctx.h.elements))
 
 
-def phi_project(x: OmegaElement) -> Perm:
-    """Third component of the triple; projecting omega this way is a
-    homomorphism onto SBS."""
-    return x.autotopism.w
-
-
-def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[OmegaElement]:
+def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
     """Omega elements whose third component is the identity.
 
     Each kernel element's witness satisfies g * f = e with g in the middle
@@ -220,9 +170,9 @@ def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[OmegaEleme
     L = ctx.loop
     ide = identity(L.n)
     nucleus = set(middle_nucleus(L).elements)
-    out = [el for el in omega(ctx, cap=cap) if el.autotopism.w == ide]
-    for el in out:
-        f, g = el.witness.f, el.witness.g
+    out = [a for a in omega(ctx, cap=cap) if a.w == ide]
+    for a in out:
+        f, g = a.u.images[L.e], a.v.images[L.e]
         if L.table[g][f] != L.e:
             raise InvariantViolation(f"kernel witness ({f}, {g}) has g*f != e")
         if g not in nucleus:
@@ -362,11 +312,11 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         hset = set(hsub.elements)
         hsize = len(hsub)
         om = _omega_of(aut, L.e, hset)
-        sbs_set = frozenset(el.autotopism.w.images for el in om)
+        sbs_set = frozenset(a.w.images for a in om)
         sa = [a for a in aum if _keeps(a, hset)]
         isos = _isotope_isomorphisms(L, hsub.elements, cap)
         th = _theta_of(isos, hset)
-        ker = [el for el in om if el.autotopism.w == ide]
+        ker = [a for a in om if a.w == ide]
         sbs_sizes.append(len(sbs_set))
 
         ssym_size = math.factorial(hsize) * math.factorial(n - hsize)
@@ -417,7 +367,7 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         def check_t13():
             for (f, g), record, _ in isos:
                 carried = transport_autotopisms(aut, record)
-                other = {el.autotopism.w.images for el in _omega_of(carried, record.result.e, hset)}
+                other = {a.w.images for a in _omega_of(carried, record.result.e, hset)}
                 if other != sbs_set:
                     return _result(
                         False,
@@ -434,7 +384,7 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
             return _result(ok, detail)
 
         def check_t15():
-            violation = autotopism_set_violation([el.autotopism for el in om], n)
+            violation = autotopism_set_violation(om, n)
             detail = f"|omega|={len(om)} |AUT|={len(aut)}"
             if violation is not None:
                 detail += f" omega is not a group: {violation}"
@@ -443,7 +393,7 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         def check_t16():
             # The triple product is componentwise, so the projected products
             # of omega lie in SBS exactly when SBS is closed.
-            violation = check_perm_group(sorted({el.autotopism.w for el in om}))
+            violation = check_perm_group(sorted({a.w for a in om}))
             detail = f"|SBS|={len(sbs_set)}"
             if violation is not None:
                 return _result(False, f"{detail} SBS is not a group: {violation}")
@@ -457,11 +407,11 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
                 u = Perm(L.rdiv[x][g] for x in range(n))
                 v = Perm(ld[f][y] for y in range(n))
                 expected.add(Autotopism(u, v, ide).key())
-            actual = {el.autotopism.key() for el in ker}
+            actual = {a.key() for a in ker}
             ok = expected == actual
             detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"
-            for el in ker:
-                f, g = el.witness.f, el.witness.g
+            for a in ker:
+                f, g = a.u.images[L.e], a.v.images[L.e]
                 if L.table[g][f] != L.e or g not in nucleus_set:
                     ok = False
                     detail += f" bad witness ({f},{g})"

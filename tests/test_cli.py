@@ -370,6 +370,48 @@ class TestReportCache:
         assert rewritten["format"] == REPORT_FORMAT
         assert rewritten["reports"][0]["checks"]["t10"]["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            b"[]",
+            b'{"form',
+            b'{"format": 2}',
+            b"\xff\xfe",
+            b'{"format": 2, "id": "x", "order": 4, "subgroups": [], "reports": [],'
+            b' "aggregate": {}, "file": "elsewhere"}',
+        ],
+        ids=["list", "truncated", "stamp-only", "not-ascii", "extra-key"],
+    )
+    def test_unusable_entries_miss(self, entry, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "cat4"
+        assert main(["generate", "4", str(target)]) == 0
+        one = str(sorted(target.glob("*.loop"))[0])
+        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+        capsys.readouterr()
+        # The directory run goes last, so that it rewrites every entry.
+        runs = (["analyze", "--json", one], ["verify", "--json", str(target), "--jobs", "2"])
+        uncached = []
+        for argv in runs:
+            assert main(argv) == 0
+            uncached.append(capsys.readouterr())
+        def reports():
+            return {p.name: p.read_text(encoding="ascii") for p in target.glob("*.report.json")}
+
+        uncached_reports = reports()
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
+        assert main(runs[1]) == 0
+        capsys.readouterr()
+        for argv, expected in zip(runs, uncached):
+            for cached in cache.glob("*.report.json"):
+                cached.write_bytes(entry)
+            assert main(argv) == 0
+            assert capsys.readouterr() == expected
+        assert reports() == uncached_reports
+        for cached in cache.glob("*.report.json"):
+            assert json.loads(cached.read_text(encoding="ascii"))["format"] == REPORT_FORMAT
+
     def test_report_format_pins_the_z4_document(self, z4_file, monkeypatch, capsys):
         # A change to the report text must bump REPORT_FORMAT, so that caches
         # written before the change miss; then re-pin both values together.

@@ -24,8 +24,8 @@ def test_t16_catches_a_hole_in_sbs(name, monkeypatch):
 
     def without_largest_w(aut, e, hset):
         out = real(aut, e, hset)
-        top = max(el.autotopism.w.images for el in out)
-        return [el for el in out if el.autotopism.w.images != top]
+        top = max(a.w.images for a in out)
+        return [a for a in out if a.w.images != top]
 
     monkeypatch.setattr(sbs, "_omega_of", without_largest_w)
     assert set(_statuses(name, "t16")) == {"fail"}
@@ -46,3 +46,77 @@ def test_t13_catches_swapped_isotopy_parameters(monkeypatch):
 
     monkeypatch.setattr(sbs, "transport_autotopisms", swapped)
     assert _statuses("n5", "t13") == ["fail"]
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_t12_1_catches_an_isotope_cache_keyed_by_parameters_alone(name, monkeypatch):
+    # The round trip on the isotope then gets the original loop's isotope.
+    real = sbs.principal_isotope
+    memo = {}
+
+    def cached(L, f, g):
+        if (f, g) not in memo:
+            memo[(f, g)] = real(L, f, g)
+        return memo[(f, g)]
+
+    monkeypatch.setattr(sbs, "principal_isotope", cached)
+    assert set(_statuses(name, "t12_1")) == {"fail"}
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_t14_catches_a_lost_bs_member(name, monkeypatch):
+    real = sbs.autotopism_group
+
+    def without_largest_w(L, cap):
+        aut = real(L, cap=cap)
+        top = max(a.w.images for a in aut)
+        return [a for a in aut if a.w.images != top]
+
+    monkeypatch.setattr(sbs, "autotopism_group", without_largest_w)
+    assert set(_statuses(name, "t14")) == {"fail"}
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_t15_catches_a_lost_omega_element(name, monkeypatch):
+    real = sbs._omega_of
+    monkeypatch.setattr(sbs, "_omega_of", lambda aut, e, hset: real(aut, e, hset)[:-1])
+    assert set(_statuses(name, "t15")) == {"fail"}
+
+
+@pytest.mark.parametrize("key", ["t17", "t18"])
+@pytest.mark.parametrize("name", ["Z4", "V4"])
+def test_kernel_checks_catch_the_full_nucleus(key, name, monkeypatch):
+    # Without the witness filter, omega's kernel is all of ker pi_3, which
+    # is the full middle nucleus; only loops whose nucleus leaves H notice.
+    def any_witness(aut, e, hset):
+        return [a for a in aut if sbs._keeps(a.w, hset)]
+
+    monkeypatch.setattr(sbs, "_omega_of", any_witness)
+    assert set(_statuses(name, key)) == {"fail"}
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [("t19", "n5"), ("t19", "Z4"), ("t19", "V4"),
+     ("t20", "Z4"), ("t20", "V4"), ("c21", "Z4"), ("c21", "V4")],
+)
+def test_theta_checks_catch_a_lost_pair(key, name, monkeypatch):
+    # n5's theta is only (e, e), so dropping it leaves "theta covers HxH"
+    # false, as it was; t20 and c21 see the loss only where theta was full.
+    real = sbs._theta_of
+    monkeypatch.setattr(sbs, "_theta_of", lambda isos, hset: real(isos, hset)[:-1])
+    assert set(_statuses(name, key)) == {"fail"}
+
+
+def test_c11_catches_a_skipped_stabilizer_filter(monkeypatch):
+    def any_w(aut, e, hset):
+        return [a for a in aut if a.u.images[e] in hset and a.v.images[e] in hset]
+
+    monkeypatch.setattr(sbs, "_omega_of", any_w)
+    assert set(_statuses("V4", "c11")) == {"fail"}
+
+
+def test_c23_catches_a_lost_automorphism(monkeypatch):
+    real = sbs.diagonal
+    monkeypatch.setattr(sbs, "diagonal", lambda aut: real(aut)[:-1])
+    assert _statuses("Z4", "c23") == ["fail"]

@@ -17,7 +17,6 @@ from loopforge import (
     identity,
     ker_phi,
     omega,
-    phi_project,
     principal_isotope,
     s_loop_context,
     s_subgroups,
@@ -66,29 +65,29 @@ class TestSpecialWitnesses:
     def test_narrowing_agrees_with_full_scan_z4(self, z4):
         for imgs in permutations(range(4)):
             theta = Perm(imgs)
-            got = [(w.f, w.g) for w in special_witnesses(z4, theta)]
+            got = special_witnesses(z4, theta)
             assert got == brute_special_witnesses(z4, imgs)
 
     def test_narrowing_agrees_with_full_scan_n5(self, n5):
         for imgs in permutations(range(5)):
             theta = Perm(imgs)
-            got = [(w.f, w.g) for w in special_witnesses(n5, theta)]
+            got = special_witnesses(n5, theta)
             assert got == brute_special_witnesses(n5, imgs)
 
     def test_z4_shift_example(self, z4):
         # theta = x + 1: witness pairs are exactly those with f + g = 1
         theta = Perm([1, 2, 3, 0])
-        pairs = [(w.f, w.g) for w in special_witnesses(z4, theta)]
+        pairs = special_witnesses(z4, theta)
         assert pairs == [(0, 1), (1, 0), (2, 3), (3, 2)]
 
     def test_every_witness_splits_theta_of_e(self, n5):
         for imgs in permutations(range(5)):
-            for w in special_witnesses(n5, Perm(imgs)):
-                assert n5.table[w.f][w.g] == imgs[n5.e]
+            for f, g in special_witnesses(n5, Perm(imgs)):
+                assert n5.table[f][g] == imgs[n5.e]
 
     def test_restricted_scan(self, z4, z4_ctx):
         theta = Perm([0, 1, 2, 3])
-        got = [(w.f, w.g) for w in special_witnesses(z4, theta, restrict_to=z4_ctx.h)]
+        got = special_witnesses(z4, theta, restrict_to=z4_ctx.h)
         full = brute_special_witnesses(z4, (0, 1, 2, 3), domain=(0, 2))
         assert got == full == [(0, 0), (2, 2)]
 
@@ -114,9 +113,6 @@ class TestBSGroup:
             via_aut = {a.w.images for a in autotopism_group(L)}
             assert {p.images for p in bs_group(L)} == via_aut
 
-    def test_label(self, z4):
-        assert bs_group(z4).label == "BS"
-
 
 class TestSBSGroup:
     def test_z4_equals_ssym(self, z4_ctx):
@@ -138,9 +134,9 @@ class TestSBSGroup:
 
     def test_contained_in_bs_and_ssym(self, z4_ctx, n5_ctx):
         for ctx in (z4_ctx, n5_ctx):
-            sbs_set = sbs_group(ctx).member_set()
-            assert sbs_set <= bs_group(ctx.loop).member_set()
-            assert sbs_set <= ssym(ctx).member_set()
+            sbs_set = {p.images for p in sbs_group(ctx)}
+            assert sbs_set <= {p.images for p in bs_group(ctx.loop)}
+            assert sbs_set <= {p.images for p in ssym(ctx)}
 
     def test_is_a_group(self, z4_ctx, n5_ctx):
         for ctx in (z4_ctx, n5_ctx):
@@ -156,7 +152,7 @@ class TestSAGroup:
 
     def test_subset_of_sbs(self, z4_ctx, n5_ctx):
         for ctx in (z4_ctx, n5_ctx):
-            assert sa_group(ctx).member_set() <= sbs_group(ctx).member_set()
+            assert {p.images for p in sa_group(ctx)} <= {p.images for p in sbs_group(ctx)}
 
 
 class TestOmega:
@@ -168,21 +164,21 @@ class TestOmega:
 
     def test_elements_are_autotopisms_with_subgroup_witnesses(self, z4_ctx):
         hset = set(z4_ctx.h.elements)
-        ssym_set = ssym(z4_ctx).member_set()
-        for el in omega(z4_ctx):
-            assert el.autotopism.holds_for(z4_ctx.loop)
-            assert el.witness.f in hset and el.witness.g in hset
-            assert el.autotopism.w.images in ssym_set
+        ssym_set = {p.images for p in ssym(z4_ctx)}
+        for a in omega(z4_ctx):
+            assert a.holds_for(z4_ctx.loop)
+            assert a.u.images[0] in hset and a.v.images[0] in hset
+            assert a.w.images in ssym_set
 
     def test_triples_are_distinct(self, z4_ctx, n5_ctx):
         for ctx in (z4_ctx, n5_ctx):
-            keys = [el.autotopism.key() for el in omega(ctx)]
+            keys = [a.key() for a in omega(ctx)]
             assert len(keys) == len(set(keys))
 
     def test_projection_covers_sbs(self, z4_ctx, n5_ctx):
         for ctx in (z4_ctx, n5_ctx):
-            proj = {phi_project(el).images for el in omega(ctx)}
-            assert proj == sbs_group(ctx).member_set()
+            proj = {a.w.images for a in omega(ctx)}
+            assert proj == {p.images for p in sbs_group(ctx)}
 
 
 class TestTheta:
@@ -197,10 +193,10 @@ class TestKerPhi:
     def test_z4_witnesses(self, z4, z4_ctx):
         ker = ker_phi(z4_ctx)
         assert len(ker) == 2
-        assert sorted((el.witness.f, el.witness.g) for el in ker) == [(0, 0), (2, 2)]
-        for el in ker:
-            assert el.autotopism.w == identity(4)
-            assert z4.table[el.witness.g][el.witness.f] == 0
+        assert sorted((a.u.images[0], a.v.images[0]) for a in ker) == [(0, 0), (2, 2)]
+        for a in ker:
+            assert a.w == identity(4)
+            assert z4.table[a.v.images[0]][a.u.images[0]] == 0
 
     def test_n5(self, n5_ctx):
         assert len(ker_phi(n5_ctx)) == 1
@@ -311,16 +307,16 @@ class TestDerivedFromAutotopisms:
                 for f, g in brute_special_witnesses(L, theta, domain=h)
             )
             om = omega(ctx)
-            assert [el.autotopism.key() for el in om] == triples and rep.omega == len(om)
-            for el in om:
-                witness = (el.witness.f, el.witness.g)
-                assert witness in brute_special_witnesses(L, el.witness.theta.images, domain=h)
+            assert [a.key() for a in om] == triples and rep.omega == len(om)
+            for a in om:
+                witness = (a.u.images[L.e], a.v.images[L.e])
+                assert witness in brute_special_witnesses(L, a.w.images, domain=h)
 
             sbs = sorted({t[2] for t in triples})
             assert [p.images for p in sbs_group(ctx)] == sbs and rep.sbs == len(sbs)
 
             kernel = [t for t in triples if t[2] == tuple(range(n))]
-            assert [el.autotopism.key() for el in ker_phi(ctx)] == kernel
+            assert [a.key() for a in ker_phi(ctx)] == kernel
             assert rep.ker_phi == len(kernel)
 
             def keeps(a):
@@ -348,7 +344,7 @@ if __debug__:
 L = cyclic_loop(4)
 ctx = s_loop_context(L, [0, 2])
 aut = sbs.autotopism_group(L)
-drop = sbs.omega(ctx)[-1].autotopism
+drop = sbs.omega(ctx)[-1]
 sbs.autotopism_group = lambda L, cap=10: [a for a in aut if a != drop]
 try:
     sbs.omega(ctx)
