@@ -170,7 +170,9 @@ def write_catalog(entries, out_dir) -> int:
 def iter_catalog(dir_path) -> list[tuple[str, Path]]:
     """(id, path) pairs for a catalog directory, in index order.
 
-    Falls back to sorted *.loop files when no index is present.
+    Each index id must be a plain file name, so that its entry and report
+    stay inside the directory.  Falls back to sorted *.loop files when no
+    index is present.
     """
     base = Path(dir_path)
     index = base / INDEX_NAME
@@ -186,6 +188,10 @@ def iter_catalog(dir_path) -> list[tuple[str, Path]]:
             if not line.strip():
                 continue
             entry_id = line.split("\t", 1)[0]
+            if entry_id in ("", ".", "..") or Path(entry_id).name != entry_id:
+                raise ParseError(
+                    f"{index}: line {lineno}: entry id {entry_id!r} is not a file name"
+                )
             pairs.append((entry_id, base / f"{entry_id}.loop"))
         return pairs
     return [(p.stem, p) for p in sorted(base.glob("*.loop"))]

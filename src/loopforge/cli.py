@@ -212,8 +212,11 @@ def _verify_dir(args) -> int:
     if not entries:
         raise LoopforgeError(f"{base}: no catalog entries found")
     jobs = [(str(path), args.search_cap, args.theorem) for _, path in entries]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers up front, so it gets no more than
+    # there are entries or processors.
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]

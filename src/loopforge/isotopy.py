@@ -6,6 +6,12 @@ automorphism.  With a = U(e) and b = V(e), U is an isomorphism of the
 loop onto its isotope p o q = (p * (a \\ (q * b))) / b, so autotopisms and
 isomorphisms come from one propagating backtracker; plain brute force lives
 in the test suite as an oracle.
+
+The backtracker prunes by right-power order: the least k with x^k = e,
+where x^1 = x and x^(k+1) = x^k * x.  An isomorphism A sends x^k to A(x)^k
+and e to the identity of its target, and it is injective, so x^k = e exactly
+when A(x)^k is that identity: x and A(x) have the same order.  A branch that
+maps x to an element of another order cannot lead to a solution.
 """
 
 from __future__ import annotations
@@ -164,6 +170,8 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     n = L.n
     _check_cap(n, cap)
     t, ld, rd = L.table, L.ldiv, L.rdiv
+    ident = list(range(n))
+    orders = _power_orders(t, L.e, ident, ident)
     results = []
     # p o q = beta(p * alpha(q)) with alpha(q) = a \ (q * b), beta(r) = r / b.
     for b in range(n):
@@ -171,7 +179,7 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
         beta = [row[b] for row in rd]
         for a in range(n):
             alpha = list(map(ld[a].__getitem__, col_b))
-            for u in _isomorphism_search(t, L.e, t, a, alpha, beta):
+            for u in _isomorphism_search(t, L.e, orders, t, a, alpha, beta):
                 w = tuple(t[x][b] for x in u)
                 cand = Autotopism(Perm(u), Perm(ld[a][z] for z in w), Perm(w))
                 if not cand.holds_for(L):
@@ -193,13 +201,15 @@ def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord)
     left.  Every carried triple is checked against the isotope's own table.
     """
     L = record.source
-    t, rd, g = L.table, L.rdiv, record.g
+    t, g = L.table, record.g
     row_f, ld_f = t[record.f], L.ldiv[record.f]
+    div_g = [row[g] for row in L.rdiv]  # x / g
+    times_g = [row[g] for row in t]  # x * g
     out = []
     for a in aut:
         ui, vi = a.u.images, a.v.images
-        u = Perm(t[ui[rd[x][g]]][g] for x in range(L.n))
-        v = Perm(row_f[vi[ld_f[y]]] for y in range(L.n))
+        u = Perm(times_g[ui[z]] for z in div_g)
+        v = Perm(row_f[vi[z]] for z in ld_f)
         carried = Autotopism(u, v, a.w)
         if not carried.holds_for(record.result):
             raise InvariantViolation(f"carried triple {carried.key()} fails on the isotope")
@@ -208,40 +218,70 @@ def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord)
     return out
 
 
-def _isomorphism_search(t1: list, e1: int, t2: list, e2: int, alpha, beta) -> list[tuple]:
+def _power_orders(t: list, e: int, alpha, beta) -> list[int]:
+    """For each x, the least k <= n with x^k = e under p o q = beta(p * alpha(q)),
+    where x^1 = x and x^(k+1) = x^k o x; n + 1 when there is no such k."""
+    n = len(t)
+    out = []
+    for x in range(n):
+        ax = alpha[x]
+        p, k = x, 1
+        while p != e and k <= n:
+            p = beta[t[p][ax]]
+            k += 1
+        out.append(k)
+    return out
+
+
+def _isomorphism_search(
+    t1: list, e1: int, order1: list, t2: list, e2: int, alpha, beta
+) -> list[tuple]:
     """Image tuples of every bijection A with A(x * y) = beta(A(x) * alpha(A(y))),
     x * y read in t1 and the right-hand product in t2, in lexicographic order.
 
     A(e1) = e2 is pinned, and each assignment forces the image of every
-    product with an already-assigned point.
+    product with an already-assigned point.  order1 must be the
+    _power_orders of t1 at e1 (the caller computes it once per source), and
+    A keeps it: with x^k read in t1 and A(x)^k under the target operation,
+    A(x^k) = A(x)^k by induction on k, and A is injective with A(e1) = e2,
+    so x^k = e1 exactly when A(x)^k = e2.  That holds for every solution,
+    whether or not e2 is the target's identity, so the search returns nothing
+    when the two order multisets differ, and tries and forces only images of
+    the same order.
     """
     n = len(t1)
+    order2 = _power_orders(t2, e2, alpha, beta)
+    if sorted(order1) != sorted(order2):
+        return []
+    candidates = {}
+    for v, k in enumerate(order2):
+        candidates.setdefault(k, []).append(v)
     img = [-1] * n
     used = [False] * n
+    done = []  # assigned points whose products with each other are forced
     found = []
 
     def assign(x: int, v: int, trail: list) -> bool:
-        stack = [(x, v)]
-        while stack:
-            x, v = stack.pop()
-            cur = img[x]
-            if cur != -1:
-                if cur != v:
-                    return False
-                continue
-            if used[v]:
-                return False
-            img[x] = v
-            used[v] = True
-            trail.append(x)
-            row_x, row_v, av = t1[x], t2[v], alpha[v]
-            for y in range(n):
+        img[x] = v
+        used[v] = True
+        trail.append(x)
+        queue = [x]
+        while queue:
+            x = queue.pop()
+            done.append(x)
+            row_x, row_v, av = t1[x], t2[img[x]], alpha[img[x]]
+            for y in done:
                 w = img[y]
-                if w == -1:
-                    continue
-                stack.append((row_x[y], beta[row_v[alpha[w]]]))
-                if y != x:
-                    stack.append((t1[y][x], beta[t2[w][av]]))
+                # x * y and y * x have forced images; compare before pushing.
+                for z, r in ((row_x[y], beta[row_v[alpha[w]]]), (t1[y][x], beta[t2[w][av]])):
+                    c = img[z]
+                    if c != r:
+                        if c != -1 or used[r] or order1[z] != order2[r]:
+                            return False
+                        img[z] = r
+                        used[r] = True
+                        trail.append(z)
+                        queue.append(z)
         return True
 
     def dfs() -> None:
@@ -253,15 +293,17 @@ def _isomorphism_search(t1: list, e1: int, t2: list, e2: int, alpha, beta) -> li
         if x == -1:
             found.append(tuple(img))
             return
-        for v in range(n):
+        mark = len(done)
+        for v in candidates[order1[x]]:
             if used[v]:
                 continue
             trail = []
             if assign(x, v, trail):
                 dfs()
-            for p in reversed(trail):
+            for p in trail:
                 used[img[p]] = False
                 img[p] = -1
+            del done[mark:]
 
     if assign(e1, e2, []):
         dfs()
@@ -276,8 +318,9 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
     _check_cap(n, cap)
     t1, t2 = L1.table, L2.table
     ident = list(range(n))
+    orders = _power_orders(t1, L1.e, ident, ident)
     found = []
-    for img in _isomorphism_search(t1, L1.e, t2, L2.e, ident, ident):
+    for img in _isomorphism_search(t1, L1.e, orders, t2, L2.e, ident, ident):
         if any(t2[img[a]][img[b]] != img[t1[a][b]] for a in range(n) for b in range(n)):
             raise InvariantViolation(f"search produced a non-isomorphism {list(img)}")
         found.append(Perm(img))

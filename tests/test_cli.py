@@ -14,7 +14,7 @@ from loopforge import (
     n5_loop,
     write_table,
 )
-from loopforge import catalog, sbs
+from loopforge import catalog, cli, sbs
 from loopforge.cli import REPORT_FORMAT, main
 
 
@@ -268,6 +268,46 @@ class TestVerifyDir:
         assert capsys.readouterr().err.startswith(
             f"error: {index}: 'ascii' codec can't decode byte 0xc3 in position 8:"
         )
+
+    @pytest.mark.parametrize("bad_id", ["../outside/evil", "sub/evil", "/abs/evil", "..", "."])
+    def test_index_ids_must_stay_in_the_directory(self, catalog_dir, tmp_path, bad_id, capsys):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        write_table(cyclic_loop(4), outside / "evil.loop")
+        index = catalog_dir / "index.tsv"
+        with index.open("a", encoding="ascii") as fh:
+            fh.write(f"{bad_id}\t4\t1\t1\n")
+        capsys.readouterr()
+        assert main(["verify", str(catalog_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {index}: line 6: entry id {bad_id!r} is not a file name\n"
+        )
+        assert list(tmp_path.rglob("*.report.json")) == []
+
+    def test_pool_size_is_capped_by_entries(self, catalog_dir, monkeypatch, capsys):
+        # Stands in for the process pool, so no worker is started.
+        recorded = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir)]) == 0
+        serial = capsys.readouterr().out
+        assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
+        assert capsys.readouterr().out == serial
+        assert all(1 < k <= 4 for k in recorded)
 
     def test_invariant_violation_outside_a_check_is_an_error(
         self, catalog_dir, monkeypatch, capsys

@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +31,7 @@ from loopforge import (
 from loopforge import isotopy, loop_core
 
 from oracles import (
+    brute_autotopisms_by_u,
     brute_autotopisms_pairs,
     brute_autotopisms_triples,
     brute_isomorphisms,
@@ -171,6 +173,20 @@ class TestAutotopisms:
         for entry in generate_loops(5):
             found = [a.key() for a in autotopism_group(entry.loop)]
             assert found == brute_autotopisms_pairs(entry.loop)
+
+    def test_matches_u_oracle_on_an_order_6_sample(self):
+        # Most (a, b) searches on these loops are cut by the power-order
+        # labels, so a label that isomorphisms do not keep loses autotopisms.
+        picks = set(random.Random(6).sample(range(9408), 50))
+        sample = [
+            entry.loop
+            for i, entry in enumerate(generate_loops(6, allow_order_six=True))
+            if i in picks
+        ]
+        assert len(sample) == 50 and sum(L.associative for L in sample) < 50
+        for L in sample:
+            found = [a.key() for a in autotopism_group(L)]
+            assert found == brute_autotopisms_by_u(L)
 
     def test_sizes_for_abelian_groups(self, z4, klein):
         # for an abelian group: |AUT| = n^2 * |AUM|
