@@ -213,11 +213,13 @@ def _verify_dir(args) -> int:
         raise LoopforgeError(f"{base}: no catalog entries found")
     jobs = [(str(path), args.search_cap, args.theorem) for _, path in entries]
     # The pool starts all its workers up front, so it gets no more than
-    # there are entries or processors.
+    # there are entries or processors.  Each worker takes about four chunks
+    # of entries, not one round trip per entry.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_worker, jobs))
+            chunk = max(1, len(jobs) // (4 * workers))
+            outcomes = list(pool.map(_worker, jobs, chunksize=chunk))
     else:
         outcomes = [_worker(job) for job in jobs]
 

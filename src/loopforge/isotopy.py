@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotSElements, SearchCapExceeded
+from .errors import DegreeMismatch, InvariantViolation, NotSElements, SearchCapExceeded
 from .loop_core import LoopTable, SLoopContext, SubgroupSet, validate_table
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
@@ -28,6 +28,26 @@ DEFAULT_SEARCH_CAP = 10
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise SearchCapExceeded(n, cap)
+
+
+def law_holds(t1, t2, u, v, w) -> bool:
+    """Whether u(x) o v(y) = w(x * y) for all x, y, with x * y read in t1
+    and the left-hand product in t2; u, v, w are image tuples.
+
+    Image tuples whose length is not the order of both tables fail.  With
+    t1 = t2 this is the autotopism law, with u = v = w and two tables the
+    isomorphism law; every such check in the library goes through here.
+    """
+    n = len(t1)
+    if len(t2) != n or len(u) != n or len(v) != n or len(w) != n:
+        return False
+    for x in range(n):
+        row = t2[u[x]]
+        tx = t1[x]
+        for y in range(n):
+            if row[v[y]] != w[tx[y]]:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -42,15 +62,8 @@ class Autotopism:
         return (self.u.images, self.v.images, self.w.images)
 
     def holds_for(self, L: LoopTable) -> bool:
-        t = L.table
-        ui, vi, wi = self.u.images, self.v.images, self.w.images
-        for x in range(L.n):
-            row = t[ui[x]]
-            tx = t[x]
-            for y in range(L.n):
-                if row[vi[y]] != wi[tx[y]]:
-                    return False
-        return True
+        """Whether the triple is an autotopism of L; False for another degree."""
+        return law_holds(L.table, L.table, self.u.images, self.v.images, self.w.images)
 
 
 def autotopism_product(a: Autotopism, b: Autotopism) -> Autotopism:
@@ -178,13 +191,16 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
         col_b = [row[b] for row in t]
         beta = [row[b] for row in rd]
         for a in range(n):
-            alpha = list(map(ld[a].__getitem__, col_b))
+            ld_a = ld[a]
+            alpha = [ld_a[z] for z in col_b]
             for u in _isomorphism_search(t, L.e, orders, t, a, alpha, beta):
-                w = tuple(t[x][b] for x in u)
-                cand = Autotopism(Perm(u), Perm(ld[a][z] for z in w), Perm(w))
-                if not cand.holds_for(L):
-                    raise InvariantViolation(f"search produced a non-autotopism {cand.key()}")
-                results.append(cand)
+                w = tuple([col_b[x] for x in u])
+                v = tuple([ld_a[z] for z in w])
+                if not law_holds(t, t, u, v, w):
+                    raise InvariantViolation(f"search produced a non-autotopism {(u, v, w)}")
+                results.append(
+                    Autotopism(Perm._unchecked(u), Perm._unchecked(v), Perm._unchecked(w))
+                )
     results.sort(key=Autotopism.key)
     violation = autotopism_set_violation(results, n)
     if violation is not None:
@@ -192,30 +208,43 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     return results
 
 
-def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord) -> list[Autotopism]:
-    """The autotopism group of record.result, carried over from record.source.
+def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list[tuple]:
+    """Image triples of the autotopisms of record.result, carried over from
+    keys, the image triples of the autotopisms of record.source, in keys'
+    order.
 
-    aut must be the autotopism group of the source.  (R_g, L_f, id) is an
-    isotopy from the source onto its f,g-principal isotope, so each
-    (U, V, W) in aut becomes (R_g.U.R_g^-1, L_f.V.L_f^-1, W), read right to
-    left.  Every carried triple is checked against the isotope's own table.
+    (R_g, L_f, id) is an isotopy from the source onto its f,g-principal
+    isotope, so each (U, V, W) becomes (R_g.U.R_g^-1, L_f.V.L_f^-1, W),
+    read right to left.  Every carried triple is checked against the
+    isotope's own table, so with W a permutation U and V are permutations
+    too (see Perm._unchecked).
     """
     L = record.source
     t, g = L.table, record.g
     row_f, ld_f = t[record.f], L.ldiv[record.f]
     div_g = [row[g] for row in L.rdiv]  # x / g
     times_g = [row[g] for row in t]  # x * g
+    t2 = record.result.table
     out = []
-    for a in aut:
-        ui, vi = a.u.images, a.v.images
-        u = Perm(times_g[ui[z]] for z in div_g)
-        v = Perm(row_f[vi[z]] for z in ld_f)
-        carried = Autotopism(u, v, a.w)
-        if not carried.holds_for(record.result):
-            raise InvariantViolation(f"carried triple {carried.key()} fails on the isotope")
-        out.append(carried)
-    out.sort(key=Autotopism.key)
+    for ui, vi, wi in keys:
+        u = tuple([times_g[ui[z]] for z in div_g])
+        v = tuple([row_f[vi[z]] for z in ld_f])
+        if not law_holds(t2, t2, u, v, wi):
+            raise InvariantViolation(f"carried triple {(u, v, wi)} fails on the isotope")
+        out.append((u, v, wi))
     return out
+
+
+def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord) -> list[Autotopism]:
+    """The autotopism group of record.result, sorted, carried over from
+    aut, the autotopism group of record.source, by carry_autotopisms."""
+    n = record.source.n
+    for a in aut:
+        degrees = (a.u.degree, a.v.degree, a.w.degree)
+        if degrees != (n, n, n):
+            raise DegreeMismatch(f"triple of degrees {degrees} carried onto an order-{n} isotope")
+    carried = carry_autotopisms([a.key() for a in aut], record)
+    return sorted((Autotopism(*map(Perm._unchecked, key)) for key in carried), key=Autotopism.key)
 
 
 def _power_orders(t: list, e: int, alpha, beta) -> list[int]:
@@ -321,9 +350,9 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
     orders = _power_orders(t1, L1.e, ident, ident)
     found = []
     for img in _isomorphism_search(t1, L1.e, orders, t2, L2.e, ident, ident):
-        if any(t2[img[a]][img[b]] != img[t1[a][b]] for a in range(n) for b in range(n)):
+        if not law_holds(t1, t2, img, img, img):
             raise InvariantViolation(f"search produced a non-isomorphism {list(img)}")
-        found.append(Perm(img))
+        found.append(Perm._unchecked(img))
     return found
 
 

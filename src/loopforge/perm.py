@@ -22,6 +22,23 @@ class Perm:
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         self.images = imgs
 
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "Perm":
+        """A Perm on an image tuple the library already knows to be a
+        permutation, skipping the O(n log n) check every other caller gets.
+
+        The library knows it in three ways.  A search result assigns each
+        point an image no other point has, so it is injective on a finite
+        set.  A composite or inverse of permutations is one.  A triple that
+        passes the autotopism law with W a permutation, on a Latin table,
+        has U and V injective, hence bijective: U(x) = U(x') gives
+        W(x * y) = W(x' * y), so x * y = x' * y for every y and x = x'; V
+        likewise.
+        """
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -53,12 +70,12 @@ def compose(p: Perm, q: Perm) -> Perm:
     """The permutation sending x to the q-image of the p-image of x."""
     if p.degree != q.degree:
         raise DegreeMismatch(f"degree {p.degree} composed with degree {q.degree}")
-    return Perm(compose_images(p.images, q.images))
+    return Perm._unchecked(compose_images(p.images, q.images))
 
 
 def compose_images(p: tuple, q: tuple) -> tuple:
     """compose on bare image tuples, without validation."""
-    return tuple(map(q.__getitem__, p))
+    return tuple([q[x] for x in p])
 
 
 def group_violation(members, product, one) -> str | None:
@@ -98,7 +115,7 @@ def inverse(p: Perm) -> Perm:
     inv = [0] * p.degree
     for i, v in enumerate(p.images):
         inv[v] = i
-    return Perm(inv)
+    return Perm._unchecked(tuple(inv))
 
 
 def format_perm(p: Perm) -> str:

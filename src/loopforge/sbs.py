@@ -30,10 +30,11 @@ from .isotopy import (
     autotopism_group,
     autotopism_set_violation,
     automorphism_group,
+    carry_autotopisms,
     diagonal,
     isomorphisms,
+    law_holds,
     principal_isotope,
-    transport_autotopisms,
 )
 from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
 from .perm import Perm, compose_images, group_violation, identity
@@ -91,29 +92,37 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list[tuple
         g = L.ldiv[f][imgs[L.e]]
         if g not in domain:
             continue
-        u = Perm(L.rdiv[z][g] for z in imgs)
-        v = Perm(L.ldiv[f][z] for z in imgs)
-        if Autotopism(u, v, theta).holds_for(L):
+        u = tuple([L.rdiv[z][g] for z in imgs])
+        v = tuple([L.ldiv[f][z] for z in imgs])
+        if law_holds(L.table, L.table, u, v, imgs):
             out.append((f, g))
     return out
 
 
+def _in_omega(u: tuple, v: tuple, w: tuple, e: int, hset) -> bool:
+    """Whether the image triple has U(e), V(e) in H and W(H) inside H."""
+    return u[e] in hset and v[e] in hset and all(w[x] in hset for x in hset)
+
+
 def _omega_of(aut: list[Autotopism], e: int, hset) -> list[Autotopism]:
-    """The triples of aut with U(e), V(e) in H and W(H) inside H, in aut's
-    order."""
-    return [
-        a for a in aut if a.u.images[e] in hset and a.v.images[e] in hset and _keeps(a.w, hset)
-    ]
+    """The triples of aut that _in_omega keeps, in aut's order."""
+    return [a for a in aut if _in_omega(*a.key(), e, hset)]
 
 
-def _isotope_isomorphisms(L: LoopTable, h: tuple, cap: int) -> list[tuple]:
+def _isotope_isomorphisms(L: LoopTable, h: tuple, cap: int, memo: dict) -> list[tuple]:
     """((f, g), isotope record, isomorphisms from L onto the isotope) for
-    every pair in h x h."""
+    every pair in h x h.
+
+    memo maps (f, g) to the last two, so callers that pass the same dict
+    for several subgroups build each isotope and search it once.
+    """
     out = []
     for f in h:
         for g in h:
-            record = principal_isotope(L, f, g)
-            out.append(((f, g), record, isomorphisms(L, record.result, cap=cap)))
+            if (f, g) not in memo:
+                record = principal_isotope(L, f, g)
+                memo[f, g] = record, isomorphisms(L, record.result, cap=cap)
+            out.append(((f, g), *memo[f, g]))
     return out
 
 
@@ -158,7 +167,8 @@ def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[in
     subgroup-preserving isomorphism onto the original loop.  (e, e) always
     qualifies via the identity map.
     """
-    return _theta_of(_isotope_isomorphisms(ctx.loop, ctx.h.elements, cap), set(ctx.h.elements))
+    isos = _isotope_isomorphisms(ctx.loop, ctx.h.elements, cap, {})
+    return _theta_of(isos, set(ctx.h.elements))
 
 
 def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
@@ -277,7 +287,8 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
       t12_1  the reversed parameter pair reconstructs the original table
       t8     SBS from AUT and from the isotope-isomorphism search agree (one
              count per route)
-      t13    every subgroup-parameter isotope has the same SBS (AUT carried over)
+      t13    every subgroup-parameter isotope has the same SBS (AUT carried over,
+             every carried triple law-checked on the isotope's table)
       t14    |BS| is |SBS| times an integer index (aggregate: averaged form)
       t15    omega is a subgroup of the full autotopism group
       t16    SBS is closed under composition: the triple product is
@@ -301,11 +312,16 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         raise NotSLoop(f"order-{n} loop has no proper non-trivial subgroup")
 
     aut = autotopism_group(L, cap=cap)
+    keys = [a.key() for a in aut]
     bs_set = frozenset(a.w.images for a in aut)
     aum = diagonal(aut)
     nucleus_set = set(middle_nucleus(L).elements)
     ide = identity(n)
 
+    # Per (f, g), shared by every subgroup containing f and g: the isotope
+    # record and its isomorphisms, and AUT carried onto the isotope.
+    isotopes = {}
+    carried = {}
     reports = []
     sbs_sizes = []
     for hsub in subs:
@@ -314,7 +330,7 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         om = _omega_of(aut, L.e, hset)
         sbs_set = frozenset(a.w.images for a in om)
         sa = [a for a in aum if _keeps(a, hset)]
-        isos = _isotope_isomorphisms(L, hsub.elements, cap)
+        isos = _isotope_isomorphisms(L, hsub.elements, cap, isotopes)
         th = _theta_of(isos, hset)
         ker = [a for a in om if a.w == ide]
         sbs_sizes.append(len(sbs_set))
@@ -366,8 +382,10 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
 
         def check_t13():
             for (f, g), record, _ in isos:
-                carried = transport_autotopisms(aut, record)
-                other = {a.w.images for a in _omega_of(carried, record.result.e, hset)}
+                if (f, g) not in carried:
+                    carried[f, g] = carry_autotopisms(keys, record)
+                e2 = record.result.e
+                other = {w for u, v, w in carried[f, g] if _in_omega(u, v, w, e2, hset)}
                 if other != sbs_set:
                     return _result(
                         False,
@@ -404,9 +422,8 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
             ld = L.ldiv
             for g in sorted(nucleus_set & hset):
                 f = ld[g][L.e]
-                u = Perm(L.rdiv[x][g] for x in range(n))
-                v = Perm(ld[f][y] for y in range(n))
-                expected.add(Autotopism(u, v, ide).key())
+                u = tuple(L.rdiv[x][g] for x in range(n))
+                expected.add((u, ld[f], ide.images))
             actual = {a.key() for a in ker}
             ok = expected == actual
             detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"

@@ -5,6 +5,7 @@ import pytest
 
 from loopforge import (
     Autotopism,
+    DegreeMismatch,
     InvariantViolation,
     NotSElements,
     ParseError,
@@ -17,6 +18,7 @@ from loopforge import (
     cyclic_loop,
     format_isotope_record,
     generate_loops,
+    identity,
     identity_autotopism,
     isomorphisms,
     parse_isotope_record,
@@ -163,6 +165,17 @@ class TestAutotopisms:
         # U = shift by 1, V = identity, W = shift by 1 works in Z4
         assert Autotopism(shift, ide, shift).holds_for(z4)
 
+    def test_holds_for_rejects_another_degree(self, z4):
+        for n in (2, 8):
+            assert not Autotopism(identity(n), identity(n), identity(n)).holds_for(z4)
+        assert not Autotopism(identity(4), identity(4), identity(5)).holds_for(z4)
+
+    def test_law_kernel_rejects_short_tuples(self, z4):
+        t = z4.table
+        assert isotopy.law_holds(t, t, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
+        assert not isotopy.law_holds(t, t, (0, 1), (0, 1), (0, 1))
+        assert not isotopy.law_holds(t, t, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2))
+
     def test_matches_triple_oracle_small(self, z3, z4, klein):
         for L in (z3, z4, klein):
             found = [a.key() for a in autotopism_group(L)]
@@ -204,6 +217,15 @@ class TestAutotopisms:
         with pytest.raises(SearchCapExceeded):
             autotopism_group(z4, cap=3)
 
+    def test_frozen_sizes_for_z2_cubed(self):
+        # A group, so ker pi_3 is N_mu = G and |BS| = |G| * |Aut(G)|, with
+        # Aut((Z2)^3) = GL(3, 2) of order 168.
+        z2_cubed = validate_table([[x ^ y for y in range(8)] for x in range(8)])
+        aut = autotopism_group(z2_cubed)
+        assert len(aut) == 10752
+        assert len({a.w for a in aut}) == 1344
+        assert len(isotopy.diagonal(aut)) == 168
+
 
 class TestTransport:
     def test_equals_direct_search_on_subgroup_isotopes(self):
@@ -218,6 +240,20 @@ class TestTransport:
                     assert transport_autotopisms(aut, record) == autotopism_group(record.result)
                     checked += 1
         assert checked == 144
+
+    def test_rejects_triples_of_another_degree(self, z4):
+        record = principal_isotope(z4, 1, 2)
+        with pytest.raises(DegreeMismatch):
+            transport_autotopisms([identity_autotopism(8)], record)
+        with pytest.raises(DegreeMismatch):
+            transport_autotopisms(autotopism_group(z4) + [identity_autotopism(2)], record)
+
+    def test_carry_keeps_the_order_of_its_input(self, n5):
+        aut = autotopism_group(n5)
+        record = principal_isotope(n5, 1, 2)
+        carried = isotopy.carry_autotopisms([a.key() for a in aut], record)
+        assert [w for _, _, w in carried] == [a.w.images for a in aut]
+        assert sorted(carried) == [a.key() for a in transport_autotopisms(aut, record)]
 
     def test_equals_direct_search_for_every_pair(self, n5):
         aut = autotopism_group(n5)

@@ -9,7 +9,17 @@ import dataclasses
 
 import pytest
 
-from loopforge import cyclic_loop, klein_four, n5_loop, sbs, verify_theorems
+from loopforge import (
+    autotopism_group,
+    cyclic_loop,
+    klein_four,
+    n5_loop,
+    omega,
+    s_loop_context,
+    s_subgroups,
+    sbs,
+    verify_theorems,
+)
 
 LOOPS = {"n5": n5_loop, "Z4": lambda: cyclic_loop(4), "V4": klein_four}
 
@@ -39,13 +49,38 @@ def test_t8_catches_a_lost_isomorphism(name, monkeypatch):
 
 
 def test_t13_catches_swapped_isotopy_parameters(monkeypatch):
-    real = sbs.transport_autotopisms
+    real = sbs.carry_autotopisms
 
-    def swapped(aut, record):
-        return real(aut, dataclasses.replace(record, f=record.g, g=record.f))
+    def swapped(keys, record):
+        return real(keys, dataclasses.replace(record, f=record.g, g=record.f))
 
-    monkeypatch.setattr(sbs, "transport_autotopisms", swapped)
+    monkeypatch.setattr(sbs, "carry_autotopisms", swapped)
     assert _statuses("n5", "t13") == ["fail"]
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_t13_law_checks_carried_triples_outside_omega(name, monkeypatch):
+    # The corrupted triple's W keeps no subgroup, and carrying keeps W, so
+    # the triple lies in no omega of the loop or of any isotope: only the
+    # law check on every carried triple can see it.
+    L = LOOPS[name]()
+    hsets = [set(h.elements) for h in s_subgroups(L)]
+    aut = autotopism_group(L)
+    pick = next(
+        i for i, a in enumerate(aut)
+        if not any(all(a.w(x) in h for x in h) for h in hsets)
+    )
+    assert not any(aut[pick] in omega(s_loop_context(L, h)) for h in hsets)
+    real = sbs.carry_autotopisms
+
+    def one_bad_v(keys, record):
+        u, v, w = keys[pick]
+        bad = list(keys)
+        bad[pick] = (u, (v[1], v[0]) + v[2:], w)
+        return real(bad, record)
+
+    monkeypatch.setattr(sbs, "carry_autotopisms", one_bad_v)
+    assert set(_statuses(name, "t13")) == {"fail"}
 
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
