@@ -14,7 +14,14 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import InvariantViolation, OrderTooLarge, ParseError
-from .loop_core import LoopTable, format_table, parse_table, s_subgroups, validate_table
+from .loop_core import (
+    LoopTable,
+    format_row,
+    format_table,
+    parse_table,
+    s_subgroups,
+    validate_table,
+)
 from .perm import Perm
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -22,13 +29,17 @@ FNV_PRIME = 0x100000001B3
 INDEX_NAME = "index.tsv"
 
 
+def _fnv_fold(h: int, data: bytes) -> int:
+    """FNV-1a state h advanced over data."""
+    prime = FNV_PRIME
+    for byte in data:
+        h = ((h ^ byte) * prime) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def content_id(L: LoopTable) -> str:
     """64-bit FNV-1a hash of the canonical text form, as 16 hex digits."""
-    h = FNV_OFFSET
-    prime = FNV_PRIME
-    for byte in format_table(L).encode("ascii"):
-        h = ((h ^ byte) * prime) & 0xFFFFFFFFFFFFFFFF
-    return f"{h:016x}"
+    return f"{_fnv_fold(FNV_OFFSET, format_table(L).encode('ascii')):016x}"
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,16 @@ def normalize(L: LoopTable) -> tuple[LoopTable, Perm]:
     return validate_table(raw), relabel
 
 
-def _reduced_squares(n: int) -> Iterator[list]:
-    """Backtracking fill in row-major order; first row and column fixed."""
+def _reduced_squares(n: int) -> Iterator[tuple[list, int]]:
+    """Backtracking fill in row-major order; first row and column fixed.
+
+    Yields (rows, state) with state the FNV-1a state of the table's
+    canonical text form (format_table), so content_id is f"{state:016x}".
+    FNV-1a folds the text one byte at a time, so the state after a row
+    extends the state after the row before: row r is hashed once, when its
+    last cell (r, n-1) is set, and every square sharing rows 0..r reuses
+    that state.  Each distinct row's text is formatted once.
+    """
     table = [[-1] * n for _ in range(n)]
     table[0] = list(range(n))
     for i in range(n):
@@ -74,26 +93,48 @@ def _reduced_squares(n: int) -> Iterator[list]:
     col_used = [full] + [1 << j for j in range(1, n)]
     cells = [(r, c) for r in range(1, n) for c in range(1, n)]
     m = len(cells)
+    row_text = {}  # row tuple -> format_row bytes
 
-    def fill(k: int) -> Iterator[list]:
-        if k == m:
-            yield [row[:] for row in table]
-            return
+    def fold_row(h: int, row: list) -> int:
+        key = tuple(row)
+        data = row_text.get(key)
+        if data is None:
+            data = row_text[key] = format_row(key).encode("ascii")
+        return _fnv_fold(h, data)
+
+    # states[r]: FNV-1a state after the order line and rows 0..r-1.
+    states = [0] * (n + 1)
+    states[1] = fold_row(_fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), table[0])
+    # Per cell: the symbols not yet tried there, and the one placed, as bits.
+    untried = [0] * m
+    placed = [0] * m
+    k = 0
+    untried[0] = ~(row_used[1] | col_used[1]) & full
+    while k >= 0:
         r, c = cells[k]
-        avail = ~(row_used[r] | col_used[c]) & full
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            table[r][c] = v
-            row_used[r] |= bit
-            col_used[c] |= bit
-            yield from fill(k + 1)
+        bit = placed[k]
+        if bit:
             row_used[r] ^= bit
             col_used[c] ^= bit
-        table[r][c] = -1
-
-    yield from fill(0)
+        left = untried[k]
+        if not left:
+            placed[k] = 0
+            k -= 1
+            continue
+        bit = left & -left
+        untried[k] = left ^ bit
+        placed[k] = bit
+        table[r][c] = bit.bit_length() - 1
+        row_used[r] |= bit
+        col_used[c] |= bit
+        if c == n - 1:
+            states[r + 1] = fold_row(states[r], table[r])
+        if k + 1 == m:
+            yield [tuple(row) for row in table], states[n]
+        else:
+            k += 1
+            r, c = cells[k]
+            untried[k] = ~(row_used[r] | col_used[c]) & full
 
 
 def generate_loops(
@@ -118,14 +159,14 @@ def generate_loops(
 
     def stream() -> Iterator[CatalogEntry]:
         produced = 0
-        for raw in _reduced_squares(n):
+        for raw, state in _reduced_squares(n):
             L = validate_table(raw)
             if nonassociative and L.associative:
                 continue
             count = len(s_subgroups(L))
             if require_s_subgroup and count == 0:
                 continue
-            yield CatalogEntry(L, L.associative, count, content_id(L))
+            yield CatalogEntry(L, L.associative, count, f"{state:016x}")
             produced += 1
             if limit is not None and produced >= limit:
                 return

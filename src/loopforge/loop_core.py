@@ -17,19 +17,25 @@ from .perm import Perm
 class LoopTable:
     """Validated n x n Cayley table.  Immutable; build via validate_table.
 
-    Division tables are derived lazily: ldiv[a][b] solves a*y = b and
-    rdiv[b][a] solves x*a = b.
+    Division tables and the associativity flag are derived on first read:
+    ldiv[a][b] solves a*y = b and rdiv[b][a] solves x*a = b.
     """
 
-    __slots__ = ("n", "table", "e", "associative", "_ldiv", "_rdiv")
+    __slots__ = ("n", "table", "e", "_associative", "_ldiv", "_rdiv")
 
-    def __init__(self, table: tuple, e: int, associative: bool):
+    def __init__(self, table: tuple, e: int):
         self.table = table
         self.n = len(table)
         self.e = e
-        self.associative = associative
+        self._associative = None
         self._ldiv = None
         self._rdiv = None
+
+    @property
+    def associative(self) -> bool:
+        if self._associative is None:
+            self._associative = _associative(self.table)
+        return self._associative
 
     @property
     def ldiv(self) -> tuple:
@@ -101,10 +107,10 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     if e < 0:
         raise NoIdentity("no element is a two-sided identity")
 
-    return LoopTable(tuple(rows), e, _associative(rows))
+    return LoopTable(tuple(rows), e)
 
 
-def _associative(rows: list) -> bool:
+def _associative(rows: tuple) -> bool:
     """(x*y)*z = x*(y*z) for all x, y, z, compared a whole row of z at a time."""
     for rx in rows:
         get = rx.__getitem__
@@ -125,26 +131,33 @@ def translations(L: LoopTable, x: int) -> tuple[Perm, Perm]:
 
 def subgroup_violation(L: LoopTable, elements: Iterable[int]) -> str | None:
     """Why the subset fails to be a group under L's operation, or None."""
-    s = sorted(set(elements))
+    sset = set(elements)
+    s = sorted(sset)
     if not s:
         return "empty subset"
-    if any(x < 0 or x >= L.n for x in s):
+    if s[0] < 0 or s[-1] >= L.n:
         return f"elements outside 0..{L.n - 1}: {s}"
-    if L.e not in s:
-        return f"identity {L.e} missing"
-    sset = set(s)
+    e = L.e
+    if e not in sset:
+        return f"identity {e} missing"
     t = L.table
     for a in s:
+        ra = t[a]
         for b in s:
-            if t[a][b] not in sset:
-                return f"not closed: {a}*{b} = {t[a][b]}"
+            if ra[b] not in sset:
+                return f"not closed: {a}*{b} = {ra[b]}"
     for a in s:
+        ra = t[a]
         for b in s:
+            rab = t[ra[b]]
+            rb = t[b]
             for c in s:
-                if t[t[a][b]][c] != t[a][t[b][c]]:
+                if rab[c] != ra[rb[c]]:
                     return f"not associative at ({a}, {b}, {c})"
+    # Row a is a permutation, so a*b = e has exactly one solution b.
     for a in s:
-        if not any(t[a][b] == L.e and t[b][a] == L.e for b in s):
+        b = t[a].index(e)
+        if b not in sset or t[b][a] != e:
             return f"no two-sided inverse for {a}"
     return None
 
@@ -176,19 +189,25 @@ class SubgroupSet:
         return x in self.elements
 
 
-def _closure(L: LoopTable, closed: frozenset, x: int) -> frozenset:
+def _closure(L: LoopTable, closed: frozenset, x: int, whole: frozenset) -> frozenset:
     """Smallest closed superset of closed | {x}, for a closed set closed.
 
     Products of two old elements already lie in closed, so each round
-    multiplies only by the elements the round before added.  Stops once
-    the set is the whole loop.
+    multiplies only by the elements the round before added.  Once the set
+    has more than n/2 elements its closure is the whole loop, which is
+    returned at once.  A closed subset S of a finite loop is a subloop:
+    for a in S, y -> a*y maps S into, so onto, itself.  A proper subloop H
+    has |H| <= n/2: for z outside H the products h*z, h in H, are distinct,
+    and none lies in H, since h*z in H would put z = h\\(h*z) in H.
     """
     t = L.table
     n = L.n
     elems = set(closed)
     elems.add(x)
     frontier = [x]
-    while frontier and len(elems) < n:
+    while frontier:
+        if 2 * len(elems) > n:
+            return whole
         fresh = []
         for a in list(elems):
             row = t[a]
@@ -210,9 +229,11 @@ def subgroups(L: LoopTable) -> list[SubgroupSet]:
     <x1> < <x1, x2> < ... < H, while a closed set that is not a group lies
     in no subgroup and is never extended.  For the same reason an element
     x with x*(x*x) != (x*x)*x, or whose closure with e is not a group, is
-    never tried as a generator.  The whole loop is a group exactly when
-    L.associative; any other closed set is certified or rejected by
-    building its SubgroupSet, once.
+    never tried as a generator.  A closed proper subset has at most n/2
+    elements (see _closure), so every closure is either such a subset or
+    the whole loop.  The whole loop is a group exactly when L.associative;
+    any other closed set is certified or rejected by building its
+    SubgroupSet, once.
     """
     t = L.table
     whole = frozenset(range(L.n))
@@ -234,14 +255,14 @@ def subgroups(L: LoopTable) -> list[SubgroupSet]:
     generators = []
     for x in range(L.n):
         xx = t[x][x]
-        if x != L.e and t[x][xx] == t[xx][x] and certify(_closure(L, trivial, x)) is not None:
+        if x != L.e and t[x][xx] == t[xx][x] and certify(_closure(L, trivial, x, whole)) is not None:
             generators.append(x)
     queue = [s for s, h in groups.items() if h is not None and s != trivial]
     while queue:
         s = queue.pop()
         for x in generators:
             if x not in s:
-                grown = _closure(L, s, x)
+                grown = _closure(L, s, x, whole)
                 if grown not in groups and certify(grown) is not None:
                     queue.append(grown)
     found = [h for h in groups.values() if h is not None]
@@ -290,11 +311,14 @@ def s_loop_context(L: LoopTable, elements: Iterable[int]) -> SLoopContext:
     return SLoopContext(L, h)
 
 
+def format_row(row: Sequence[int]) -> str:
+    """One row of the canonical text form: entries joined by spaces, then a newline."""
+    return " ".join(map(str, row)) + "\n"
+
+
 def format_table(L: LoopTable) -> str:
-    """Canonical text form: order line, then one space-separated row per line."""
-    lines = [str(L.n)]
-    lines.extend(" ".join(str(v) for v in row) for row in L.table)
-    return "\n".join(lines) + "\n"
+    """Canonical text form: order line, then one format_row line per row."""
+    return f"{L.n}\n" + "".join(map(format_row, L.table))
 
 
 def parse_table(text: str) -> LoopTable:

@@ -32,6 +32,14 @@ class TestContentId:
             expected = f"{fnv64(format_table(L).encode('ascii')):016x}"
             assert content_id(L) == expected
 
+    def test_stream_ids_are_content_ids(self):
+        # The stream hashes rows as it fills them; its ids must still be the
+        # hash of the whole text form.
+        for n in range(2, 7):
+            for entry in generate_loops(n, allow_order_six=True):
+                expected = f"{fnv64(format_table(entry.loop).encode('ascii')):016x}"
+                assert entry.entry_id == content_id(entry.loop) == expected
+
     def test_distinct_across_order_5(self):
         ids = [e.entry_id for e in generate_loops(5)]
         assert len(ids) == len(set(ids)) == 56

@@ -152,6 +152,36 @@ class TestSubgroups:
         assert counts == {0: 3360, 1: 3760, 2: 1680, 3: 480, 4: 80, 5: 48}
         assert groups == 80
 
+    def test_subgroup_of_half_the_order_in_a_nonassociative_loop(self):
+        # Z8 with the intercalate on rows and columns {1, 5} switched (2 <-> 6):
+        # no switched cell lies in {0,2,4,6}^2, so {0,2,4,6} keeps its table
+        # and is a subgroup of exactly n/2 elements, the most a proper
+        # subloop can have.
+        rows = [list(r) for r in cyclic_loop(8).table]
+        for r, c in ((1, 1), (1, 5), (5, 1), (5, 5)):
+            rows[r][c] = {2: 6, 6: 2}[rows[r][c]]
+        L = validate_table(rows)
+        assert not L.associative
+        found = [h.elements for h in subgroups(L)]
+        assert (0, 2, 4, 6) in found
+        assert found == brute_subgroups(L)
+
+    def test_order_7_loop_with_a_z3_subgroup(self):
+        L = validate_table(
+            [
+                [0, 1, 2, 3, 4, 5, 6],
+                [1, 2, 0, 4, 3, 6, 5],
+                [2, 0, 1, 5, 6, 3, 4],
+                [3, 4, 5, 6, 0, 1, 2],
+                [4, 3, 6, 0, 5, 2, 1],
+                [5, 6, 3, 1, 2, 4, 0],
+                [6, 5, 4, 2, 1, 0, 3],
+            ]
+        )
+        assert not L.associative
+        found = [h.elements for h in subgroups(L)]
+        assert found == brute_subgroups(L) == [(0,), (0, 1, 2)]
+
     def test_violation_messages(self, z4):
         assert subgroup_violation(z4, [0, 2]) is None
         assert "closed" in subgroup_violation(z4, [0, 1])
