@@ -8,7 +8,10 @@ table.  Expected counts: 1, 1, 4, 56, 9408 for orders 2 through 6.
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -74,42 +77,76 @@ def normalize(L: LoopTable) -> tuple[LoopTable, Perm]:
     return validate_table(raw), relabel
 
 
-def _reduced_squares(n: int) -> Iterator[tuple[list, int]]:
-    """Backtracking fill in row-major order; first row and column fixed.
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _second_rows(n: int) -> list[tuple]:
+    """Every valid row 1 of a reduced square, in lexicographic order.
+
+    Row 1 starts with 1 and puts no j in column j, where row 0 already has
+    it; every such row extends to a full reduced square (a Latin rectangle
+    always completes).  There are 1, 1, 3, 11, 53 for orders 2 through 6.
+    """
+    return [
+        p for p in itertools.permutations(range(n))
+        if p[0] == 1 and all(p[j] != j for j in range(1, n))
+    ]
+
+
+def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
+    """Backtracking fill from row 2 in row-major order; rows 0 and 1 and
+    the first column fixed.
 
     Yields (rows, state) with state the FNV-1a state of the table's
     canonical text form (format_table), so content_id is f"{state:016x}".
     FNV-1a folds the text one byte at a time, so the state after a row
     extends the state after the row before: row r is hashed once, when its
     last cell (r, n-1) is set, and every square sharing rows 0..r reuses
-    that state.  Each distinct row's text is formatted once.
+    that state.  Each distinct row's text is formatted once.  Squares come
+    in lexicographic order, so the subtrees of _second_rows(n), taken in
+    that order, make the whole stream of reduced squares in order.
     """
     table = [[-1] * n for _ in range(n)]
     table[0] = list(range(n))
+    table[1] = list(row1)
     for i in range(n):
         table[i][0] = i
     full = (1 << n) - 1
-    row_used = [full] + [1 << i for i in range(1, n)]
-    col_used = [full] + [1 << j for j in range(1, n)]
-    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    row_used = [full, full] + [1 << i for i in range(2, n)]
+    col_used = [full] + [1 << j | 1 << row1[j] for j in range(1, n)]
+    cells = [(r, c) for r in range(2, n) for c in range(1, n)]
     m = len(cells)
-    row_text = {}  # row tuple -> format_row bytes
+    # Row tuple -> (that tuple, its format_row bytes).  Squares are yielded
+    # as lists of these tuples, so squares that share a row share its
+    # object, and pickling a subtree's entries stores each row once.
+    row_text = {}
+    done = [()] * n  # done[r]: the shared tuple of completed row r
 
-    def fold_row(h: int, row: list) -> int:
-        key = tuple(row)
-        data = row_text.get(key)
-        if data is None:
-            data = row_text[key] = format_row(key).encode("ascii")
-        return _fnv_fold(h, data)
+    def fold_row(h: int, r: int) -> int:
+        key = tuple(table[r])
+        hit = row_text.get(key)
+        if hit is None:
+            hit = row_text[key] = (key, format_row(key).encode("ascii"))
+        done[r] = hit[0]
+        return _fnv_fold(h, hit[1])
 
     # states[r]: FNV-1a state after the order line and rows 0..r-1.
     states = [0] * (n + 1)
-    states[1] = fold_row(_fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), table[0])
+    states[1] = fold_row(_fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), 0)
+    states[2] = fold_row(states[1], 1)
+    if not m:
+        yield list(done), states[n]
+        return
     # Per cell: the symbols not yet tried there, and the one placed, as bits.
     untried = [0] * m
     placed = [0] * m
     k = 0
-    untried[0] = ~(row_used[1] | col_used[1]) & full
+    untried[0] = ~(row_used[2] | col_used[1]) & full
     while k >= 0:
         r, c = cells[k]
         bit = placed[k]
@@ -128,13 +165,42 @@ def _reduced_squares(n: int) -> Iterator[tuple[list, int]]:
         row_used[r] |= bit
         col_used[c] |= bit
         if c == n - 1:
-            states[r + 1] = fold_row(states[r], table[r])
+            states[r + 1] = fold_row(states[r], r)
         if k + 1 == m:
-            yield [tuple(row) for row in table], states[n]
+            yield list(done), states[n]
         else:
             k += 1
             r, c = cells[k]
             untried[k] = ~(row_used[r] | col_used[c]) & full
+
+
+def _subtree(task: tuple) -> list[CatalogEntry]:
+    """The entries of one row-1 subtree, (n, row1, nonassociative,
+    require_s_subgroup), in stream order.  Top level, so a process pool
+    can run it."""
+    n, row1, nonassociative, require_s_subgroup = task
+    entries = []
+    for raw, state in _reduced_squares(n, row1):
+        L = validate_table(raw)
+        if nonassociative and L.associative:
+            continue
+        count = len(s_subgroups(L))
+        if require_s_subgroup and count == 0:
+            continue
+        entries.append(CatalogEntry(L, L.associative, count, f"{state:016x}"))
+    return entries
+
+
+def _in_order(pool, tasks: list, window: int) -> Iterator[list[CatalogEntry]]:
+    """Results of _subtree over tasks, in task order, with at most window
+    tasks submitted ahead of the one being consumed."""
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.submit(_subtree, task))
+        if len(pending) > window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def generate_loops(
@@ -149,6 +215,14 @@ def generate_loops(
     The unbounded order-6 run produces 9408 entries, so it must be opted
     into explicitly.  Order and limit checks happen at call time, before
     the stream is touched.
+
+    The search splits at row 1 into the subtrees of _second_rows(n), which
+    are generated independently and yielded in order, so the stream is the
+    same however they are run.  The unbounded order-6 run maps them over a
+    process pool when more than one CPU is available and the process runs
+    no other thread; smaller orders take less time than starting a pool,
+    and a bounded run may need only the first few subtrees, so those run
+    in this process.
     """
     if n < 2 or n > 6:
         raise OrderTooLarge(f"exhaustive generation covers orders 2..6, got {n}")
@@ -158,18 +232,32 @@ def generate_loops(
         raise ValueError(f"limit must be at least 1, got {limit}")
 
     def stream() -> Iterator[CatalogEntry]:
-        produced = 0
-        for raw, state in _reduced_squares(n):
-            L = validate_table(raw)
-            if nonassociative and L.associative:
-                continue
-            count = len(s_subgroups(L))
-            if require_s_subgroup and count == 0:
-                continue
-            yield CatalogEntry(L, L.associative, count, f"{state:016x}")
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        tasks = [(n, row1, nonassociative, require_s_subgroup) for row1 in _second_rows(n)]
+        cpus = available_cpus()
+        pool = None
+        # Pool workers are forked where that is the default start method,
+        # and forking a process that runs other threads can deadlock.
+        if n == 6 and limit is None and cpus > 1 and threading.active_count() == 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            workers = min(cpus, len(tasks))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            subtrees = _in_order(pool, tasks, 2 * workers)
+        else:
+            subtrees = map(_subtree, tasks)
+        try:
+            produced = 0
+            for entries in subtrees:
+                for entry in entries:
+                    yield entry
+                    produced += 1
+                    if limit is not None and produced >= limit:
+                        return
+        finally:
+            # Cancels the queued subtrees when the stream is closed early,
+            # and waits for the running ones, so no worker outlives it.
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     return stream()
 

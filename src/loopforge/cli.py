@@ -213,9 +213,9 @@ def _verify_dir(args) -> int:
         raise LoopforgeError(f"{base}: no catalog entries found")
     jobs = [(str(path), args.search_cap, args.theorem) for _, path in entries]
     # The pool starts all its workers up front, so it gets no more than
-    # there are entries or processors.  Each worker takes about four chunks
-    # of entries, not one round trip per entry.
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    # there are entries or CPUs this process may run on.  Each worker takes
+    # about four chunks of entries, not one round trip per entry.
+    workers = min(args.jobs, len(jobs), catalog.available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (4 * workers))

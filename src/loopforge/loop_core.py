@@ -132,7 +132,11 @@ def translations(L: LoopTable, x: int) -> tuple[Perm, Perm]:
 def subgroup_violation(L: LoopTable, elements: Iterable[int]) -> str | None:
     """Why the subset fails to be a group under L's operation, or None."""
     sset = set(elements)
-    s = sorted(sset)
+    return _violation(L, sset, sorted(sset))
+
+
+def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
+    """subgroup_violation for a subset given as a set and as sorted(set)."""
     if not s:
         return "empty subset"
     if s[0] < 0 or s[-1] >= L.n:
@@ -174,8 +178,9 @@ class SubgroupSet:
     parent: LoopTable
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
-        violation = subgroup_violation(self.parent, self.elements)
+        sset = set(self.elements)
+        object.__setattr__(self, "elements", tuple(sorted(sset)))
+        violation = _violation(self.parent, sset, self.elements)
         if violation is not None:
             raise ValueError(f"not a subgroup: {violation}")
 

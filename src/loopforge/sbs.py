@@ -359,8 +359,22 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
 
         def check_t12():
             # principal_isotope already raised on a non-loop or a wrong identity.
+            # The isotope's products on H are recomputed from L's divisions,
+            # so a record of another pair, or relabelled, cannot pass.
+            h = hsub.elements
             for (f, g), record, _ in isos:
-                violation = subgroup_violation(record.result, hsub.elements)
+                ld = L.ldiv[f]
+                got = record.result.table
+                for x in h:
+                    row = L.table[L.rdiv[x][g]]
+                    for y in h:
+                        if got[x][y] != row[ld[y]]:
+                            return _result(
+                                False,
+                                f"isotope ({f},{g}) gives {x}o{y} = {got[x][y]},"
+                                f" but ({x}/{g})*({f}\\{y}) = {row[ld[y]]}",
+                            )
+                violation = subgroup_violation(record.result, h)
                 if violation is not None:
                     return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
             return _result(True, f"{len(isos)} isotopes valid, subgroup preserved")

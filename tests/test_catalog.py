@@ -1,3 +1,9 @@
+import concurrent.futures
+import multiprocessing
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from loopforge import (
@@ -17,6 +23,7 @@ from loopforge import (
     write_catalog,
     write_table,
 )
+from loopforge import catalog
 from loopforge.catalog import INDEX_NAME
 
 from oracles import count_reduced_squares_colmajor, fnv64
@@ -113,6 +120,79 @@ class TestGeneration:
             generate_loops(6)
         # ... but a bounded one does not
         assert sum(1 for _ in generate_loops(6, limit=3)) == 3
+
+    def test_second_rows_are_the_row_ones_of_the_stream(self):
+        for n, count in zip(range(2, 7), (1, 1, 3, 11, 53)):
+            rows = catalog._second_rows(n)
+            assert len(rows) == count
+            stream = generate_loops(n, allow_order_six=True)
+            assert rows == list(dict.fromkeys(e.loop.table[1] for e in stream))
+
+    def test_pooled_order_6_stream_equals_the_one_cpu_stream(self, monkeypatch):
+        def key(e):
+            return (e.entry_id, e.loop.table, e.associative, e.s_subgroup_count)
+
+        # At least two, so the pool runs on a one-CPU machine too.
+        cpus = max(2, catalog.available_cpus())
+        monkeypatch.setattr(catalog, "available_cpus", lambda: cpus)
+        stream = generate_loops(6, allow_order_six=True)
+        pooled = [key(next(stream))]
+        assert multiprocessing.active_children() != []
+        pooled += map(key, stream)
+        monkeypatch.setattr(catalog, "available_cpus", lambda: 1)
+        assert [key(e) for e in generate_loops(6, allow_order_six=True)] == pooled
+
+    def test_closing_an_order_6_stream_leaves_no_worker(self, monkeypatch):
+        monkeypatch.setattr(catalog, "available_cpus", lambda: 2)
+        stream = generate_loops(6, allow_order_six=True)
+        next(stream)
+        assert multiprocessing.active_children() != []
+        stream.close()
+        assert multiprocessing.active_children() == []
+
+    def test_only_the_unbounded_order_6_run_builds_a_pool(self, monkeypatch):
+        # Stands in for the process pool, running each subtree at submit.
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(catalog, "available_cpus", lambda: 64)
+        assert sum(1 for _ in generate_loops(6, limit=500)) == 500
+        assert sum(1 for _ in generate_loops(5)) == 56
+        assert built == []
+        # Forking while another thread runs can deadlock the child.
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            next(generate_loops(6, allow_order_six=True))
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert built == []
+        assert sum(1 for _ in generate_loops(6, allow_order_six=True)) == 9408
+        assert built == [53]
+
+    def test_import_starts_no_process_machinery(self):
+        code = (
+            "import sys, loopforge; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_entry_must_be_normalized(self, loop_3x3_shifted):
         with pytest.raises(AssertionError):

@@ -308,6 +308,13 @@ class TestVerifyDir:
         assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
         assert capsys.readouterr().out == serial
         assert all(1 < k <= 4 for k in recorded)
+        # and by the CPUs the process may run on
+        recorded.clear()
+        for cpus in (1, 3):
+            monkeypatch.setattr(catalog, "available_cpus", lambda: cpus)
+            assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
+            assert capsys.readouterr().out == serial
+        assert recorded == [3]
 
     def test_invariant_violation_outside_a_check_is_an_error(
         self, catalog_dir, monkeypatch, capsys

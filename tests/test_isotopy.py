@@ -110,15 +110,15 @@ class TestSmarandacheIsotope:
             smarandache_principal_isotope(z4_ctx, 0, 2)
 
     def test_each_context_certifies_its_subgroup_once(self, z4, monkeypatch):
+        # subgroup_violation and SubgroupSet both run the shared core.
         calls = []
-        real = loop_core.subgroup_violation
+        real = loop_core._violation
 
-        def counted(L, elements):
-            calls.append(tuple(elements))
-            return real(L, elements)
+        def counted(L, sset, s):
+            calls.append(tuple(s))
+            return real(L, sset, s)
 
-        monkeypatch.setattr(loop_core, "subgroup_violation", counted)
-        monkeypatch.setattr(isotopy, "subgroup_violation", counted, raising=False)
+        monkeypatch.setattr(loop_core, "_violation", counted)
         ctx = s_loop_context(z4, [0, 2])
         assert calls == [(0, 2)]
         calls.clear()

@@ -14,6 +14,7 @@ from loopforge import (
     cyclic_loop,
     klein_four,
     n5_loop,
+    normalize,
     omega,
     s_loop_context,
     s_subgroups,
@@ -96,6 +97,35 @@ def test_t12_1_catches_an_isotope_cache_keyed_by_parameters_alone(name, monkeypa
 
     monkeypatch.setattr(sbs, "principal_isotope", cached)
     assert set(_statuses(name, "t12_1")) == {"fail"}
+
+
+def _relabelled(real):
+    # Swaps the isotope's identity f*g with 0.  Both lie in H, so H stays a
+    # subgroup of the relabelled table and only H's products show the swap.
+    def isotope(L, f, g):
+        record = real(L, f, g)
+        return dataclasses.replace(record, result=normalize(record.result)[0])
+
+    return isotope
+
+
+def _keyed_by_f(real):
+    # Every pair (f, g) gets the isotope of the first pair (f, g0) asked for.
+    memo = {}
+
+    def isotope(L, f, g):
+        if (L, f) not in memo:
+            memo[L, f] = real(L, f, g)
+        return memo[L, f]
+
+    return isotope
+
+
+@pytest.mark.parametrize("defect", [_relabelled, _keyed_by_f])
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_t12_recomputes_the_isotope_products_on_h(name, defect, monkeypatch):
+    monkeypatch.setattr(sbs, "principal_isotope", defect(sbs.principal_isotope))
+    assert set(_statuses(name, "t12")) == {"fail"}
 
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
