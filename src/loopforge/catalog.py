@@ -8,6 +8,7 @@ table.  Expected counts: 1, 1, 4, 56, 9408 for orders 2 through 6.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -98,88 +99,87 @@ def _second_rows(n: int) -> list[tuple]:
     ]
 
 
+@functools.cache
+def _row_codes(n: int) -> tuple[list, dict]:
+    """Every permutation of 0..n-1 as a (code, row, format_row bytes)
+    triple, in lexicographic order by row, and the same triples keyed by
+    code.
+
+    A row's code sets bit n*j + row[j] for each column j.  Two rows clash
+    in some column exactly when their codes share a bit, and OR-ing the
+    codes of a Latin rectangle's rows gives each column's used symbols.
+    """
+    rows = []
+    for row in itertools.permutations(range(n)):
+        code = sum(1 << (n * j + v) for j, v in enumerate(row))
+        rows.append((code, row, format_row(row).encode("ascii")))
+    return rows, {t[0]: t for t in rows}
+
+
 def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
-    """Backtracking fill from row 2 in row-major order; rows 0 and 1 and
-    the first column fixed.
+    """The reduced squares with row 1 equal to row1, in lexicographic order.
+
+    Rows 2..n-2 are searched row by row, each from the rows that start
+    with their index and clash with neither row 0 nor row 1, in
+    lexicographic order; row n-1 is then filled by elimination.  The rows
+    above the last make an (n-1) x n Latin rectangle.  Each symbol sits
+    once in each of the n-1 rows, in n-1 distinct columns, so it is missing
+    from exactly one column.  Row n-1 must hold in each column the one
+    symbol that column lacks, and those symbols are distinct, so every
+    rectangle completes to exactly one square and the last row needs no
+    search: its code is the complement of the rectangle's.
 
     Yields (rows, state) with state the FNV-1a state of the table's
     canonical text form (format_table), so content_id is f"{state:016x}".
     FNV-1a folds the text one byte at a time, so the state after a row
-    extends the state after the row before: row r is hashed once, when its
-    last cell (r, n-1) is set, and every square sharing rows 0..r reuses
-    that state.  Each distinct row's text is formatted once.  Squares come
-    in lexicographic order, so the subtrees of _second_rows(n), taken in
-    that order, make the whole stream of reduced squares in order.
+    extends the state after the row before: each chosen row is hashed
+    once, and every square sharing rows 0..r reuses that state.  Squares
+    come in lexicographic order, so the subtrees of _second_rows(n), taken
+    in that order, make the whole stream of reduced squares in order.
+    Squares share the row tuples of _row_codes(n).
     """
-    table = [[-1] * n for _ in range(n)]
-    table[0] = list(range(n))
-    table[1] = list(row1)
-    for i in range(n):
-        table[i][0] = i
-    full = (1 << n) - 1
-    row_used = [full, full] + [1 << i for i in range(2, n)]
-    col_used = [full] + [1 << j | 1 << row1[j] for j in range(1, n)]
-    cells = [(r, c) for r in range(2, n) for c in range(1, n)]
-    m = len(cells)
-    # Row tuple -> (that tuple, its format_row bytes).  Squares are yielded
-    # as lists of these tuples, so squares that share a row share its
-    # object, and pickling a subtree's entries stores each row once.
-    row_text = {}
-    done = [()] * n  # done[r]: the shared tuple of completed row r
-
-    def fold_row(h: int, r: int) -> int:
-        key = tuple(table[r])
-        hit = row_text.get(key)
-        if hit is None:
-            hit = row_text[key] = (key, format_row(key).encode("ascii"))
-        done[r] = hit[0]
-        return _fnv_fold(h, hit[1])
-
-    # states[r]: FNV-1a state after the order line and rows 0..r-1.
-    states = [0] * (n + 1)
-    states[1] = fold_row(_fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), 0)
-    states[2] = fold_row(states[1], 1)
-    if not m:
-        yield list(done), states[n]
+    rows, by_code = _row_codes(n)
+    first = rows[0]
+    second = next(t for t in rows if t[1] == tuple(row1))
+    square = [first[1], second[1]] + [()] * (n - 2)
+    state = _fnv_fold(_fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), first[2])
+    state = _fnv_fold(state, second[2])
+    if n == 2:  # row 1 is the last row
+        yield square, state
         return
-    # Per cell: the symbols not yet tried there, and the one placed, as bits.
-    untried = [0] * m
-    placed = [0] * m
-    k = 0
-    untried[0] = ~(row_used[2] | col_used[1]) & full
-    while k >= 0:
-        r, c = cells[k]
-        bit = placed[k]
-        if bit:
-            row_used[r] ^= bit
-            col_used[c] ^= bit
-        left = untried[k]
-        if not left:
-            placed[k] = 0
-            k -= 1
-            continue
-        bit = left & -left
-        untried[k] = left ^ bit
-        placed[k] = bit
-        table[r][c] = bit.bit_length() - 1
-        row_used[r] |= bit
-        col_used[c] |= bit
-        if c == n - 1:
-            states[r + 1] = fold_row(states[r], r)
-        if k + 1 == m:
-            yield list(done), states[n]
-        else:
-            k += 1
-            r, c = cells[k]
-            untried[k] = ~(row_used[r] | col_used[c]) & full
+    taken = first[0] | second[0]
+    block = len(rows) // n  # rows starting with each symbol
+    options = [[t for t in rows[r * block:(r + 1) * block] if not t[0] & taken] for r in range(n)]
+    full = (1 << n * n) - 1
+    last = n - 1
+
+    def fill(r: int, used: int, h: int) -> Iterator[tuple[list, int]]:
+        if r == last:
+            _, row, text = by_code[full ^ used]
+            square[last] = row
+            yield list(square), _fnv_fold(h, text)
+            return
+        for code, row, text in options[r]:
+            if not code & used:
+                square[r] = row
+                yield from fill(r + 1, used | code, _fnv_fold(h, text))
+
+    yield from fill(2, taken, state)
 
 
-def _subtree(task: tuple) -> list[CatalogEntry]:
-    """The entries of one row-1 subtree, (n, row1, nonassociative,
-    require_s_subgroup), in stream order.  Top level, so a process pool
-    can run it."""
+def _subtree(task: tuple) -> tuple[list, list]:
+    """One row-1 subtree, (n, row1, nonassociative, require_s_subgroup),
+    validated and filtered, in the compact form that _entries reads back.
+
+    Top level, so a process pool can run it.  Returns the subtree's distinct
+    rows and, per kept square in stream order, a record (indices of its
+    rows in that list as bytes, associative, S-subgroup count, FNV-1a
+    state).  A subtree of order 6 has at most 84 distinct rows; bytes()
+    raises on an index past 255 rather than wrapping it.
+    """
     n, row1, nonassociative, require_s_subgroup = task
-    entries = []
+    rows = {}  # row tuple -> its index
+    records = []
     for raw, state in _reduced_squares(n, row1):
         L = validate_table(raw)
         if nonassociative and L.associative:
@@ -187,11 +187,28 @@ def _subtree(task: tuple) -> list[CatalogEntry]:
         count = len(s_subgroups(L))
         if require_s_subgroup and count == 0:
             continue
-        entries.append(CatalogEntry(L, L.associative, count, f"{state:016x}"))
-    return entries
+        index = bytes([rows.setdefault(row, len(rows)) for row in raw])
+        records.append((index, L.associative, count, state))
+    return list(rows), records
 
 
-def _in_order(pool, tasks: list, window: int) -> Iterator[list[CatalogEntry]]:
+def _entries(subtree: tuple[list, list]) -> list[CatalogEntry]:
+    """The CatalogEntry list of one _subtree result, in stream order.
+
+    Each table is built as a LoopTable directly, without validate_table:
+    its rows are the rows of a square that _subtree validated, in the same
+    order, and a validated reduced square has its identity at 0.
+    CatalogEntry still checks that identity.
+    """
+    rows, records = subtree
+    get = rows.__getitem__
+    return [
+        CatalogEntry(LoopTable(tuple(map(get, index)), 0), associative, count, f"{state:016x}")
+        for index, associative, count, state in records
+    ]
+
+
+def _in_order(pool, tasks: list, window: int) -> Iterator[tuple[list, list]]:
     """Results of _subtree over tasks, in task order, with at most window
     tasks submitted ahead of the one being consumed."""
     pending = deque()
@@ -247,8 +264,8 @@ def generate_loops(
             subtrees = map(_subtree, tasks)
         try:
             produced = 0
-            for entries in subtrees:
-                for entry in entries:
+            for subtree in subtrees:
+                for entry in _entries(subtree):
                     yield entry
                     produced += 1
                     if limit is not None and produced >= limit:

@@ -34,7 +34,7 @@ class LoopTable:
     @property
     def associative(self) -> bool:
         if self._associative is None:
-            self._associative = _associative(self.table)
+            self._associative = _associative(self.table, self.e)
         return self._associative
 
     @property
@@ -110,11 +110,16 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     return LoopTable(tuple(rows), e)
 
 
-def _associative(rows: tuple) -> bool:
-    """(x*y)*z = x*(y*z) for all x, y, z, compared a whole row of z at a time."""
-    for rx in rows:
+def _associative(rows: tuple, e: int) -> bool:
+    """(x*y)*z = x*(y*z) for all x, y, z, compared a whole row of z at a time.
+
+    Rows x = e and y = e are skipped: there both sides are y*z, or x*z, in
+    every loop.
+    """
+    others = [(y, ry) for y, ry in enumerate(rows) if y != e]
+    for x, rx in others:
         get = rx.__getitem__
-        for y, ry in enumerate(rows):
+        for y, ry in others:
             if rows[rx[y]] != tuple(map(get, ry)):
                 return False
     return True
@@ -150,9 +155,12 @@ def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
         for b in s:
             if ra[b] not in sset:
                 return f"not closed: {a}*{b} = {ra[b]}"
-    for a in s:
+    # A triple with a = e or b = e is associative in every loop, so skipping
+    # those keeps the first violating triple.
+    rest = [a for a in s if a != e]
+    for a in rest:
         ra = t[a]
-        for b in s:
+        for b in rest:
             rab = t[ra[b]]
             rb = t[b]
             for c in s:

@@ -81,19 +81,33 @@ def compose_images(p: tuple, q: tuple) -> tuple:
 def group_violation(members, product, one) -> str | None:
     """Why a finite set of hashable elements is not a group, or None.
 
+    A finite set closed under the product is a group, so inverses need no
+    separate check; the first product outside the set that the generators
+    walk meets is reported.
+    """
+    if one not in set(members):
+        return "identity missing"
+    missing = generators(members, product, one)[1]
+    if missing is not None:
+        return "product of {} and {} missing".format(*missing)
+    return None
+
+
+def generators(members, product, one) -> tuple[list, tuple | None]:
+    """(gens, the first (x, g) whose product leaves the set, or None).
+
     Walks the members in order; each one not yet generated becomes a
     generator, and every generated element is multiplied by every generator
-    once.  Each new generator at least doubles the subgroup generated so
-    far, so a group costs O(|G| log |G|) products.  A finite set closed
-    under the product is a group, so inverses need no separate check.  The
-    walk stops at the first product that leaves the set.
+    once.  Products outside the set are not followed, so each member is one
+    of gens or a product of them, closed or not.  Each new generator at
+    least doubles the subgroup generated so far, so a group costs
+    O(|G| log |G|) products.
     """
     keys = set(members)
-    if one not in keys:
-        return "identity missing"
     reached = [one]
     seen = {one}
     gens = []
+    missing = None
     for s in members:
         if s in seen:
             continue
@@ -105,10 +119,11 @@ def group_violation(members, product, one) -> str | None:
                 y = product(x, g)
                 if y not in seen:
                     if y not in keys:
-                        return f"product of {x} and {g} missing"
+                        missing = missing or (x, g)
+                        continue
                     seen.add(y)
                     reached.append(y)
-    return None
+    return gens, missing
 
 
 def inverse(p: Perm) -> Perm:

@@ -37,7 +37,7 @@ from .isotopy import (
     principal_isotope,
 )
 from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
-from .perm import Perm, compose_images, group_violation, identity
+from .perm import Perm, compose_images, generators, group_violation, identity
 
 CHECK_KEYS = (
     "t10", "c11", "t12", "t12_1", "t8", "t13", "t14", "t15",
@@ -87,14 +87,15 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list[tuple
     """
     imgs = theta.images
     domain = range(L.n) if restrict_to is None else restrict_to.elements
+    t, ld, rd = L.table, L.ldiv, L.rdiv
     out = []
     for f in domain:
-        g = L.ldiv[f][imgs[L.e]]
+        g = ld[f][imgs[L.e]]
         if g not in domain:
             continue
-        u = tuple([L.rdiv[z][g] for z in imgs])
-        v = tuple([L.ldiv[f][z] for z in imgs])
-        if law_holds(L.table, L.table, u, v, imgs):
+        u = tuple([rd[z][g] for z in imgs])
+        v = tuple(map(ld[f].__getitem__, imgs))
+        if law_holds(t, t, u, v, imgs):
             out.append((f, g))
     return out
 
@@ -279,7 +280,8 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
     """Machine-check every recorded identity for each proper subgroup of L.
 
     Check keys and what they witness:
-      t10    SBS is contained in BS (closure of SBS is checked by t16)
+      t10    SBS is contained in BS, and each generator of SBS has a special
+             witness on L (closure of SBS is checked by t16)
       c11    SBS sits inside SSYM, of size |H|! (n - |H|)!
       t12    subgroup-parameter isotopes keep H as a subgroup (an isotope that
              is not a loop, or has the wrong identity, raises while it is
@@ -344,11 +346,16 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
 
         def check_t10():
             extra = sorted(sbs_set - bs_set)
-            ok = not extra
             detail = f"|SBS|={len(sbs_set)} |BS|={len(bs_set)}"
             if extra:
-                detail += f" outside BS: {extra}"
-            return _result(ok, detail)
+                return _result(False, f"{detail} outside BS: {extra}")
+            # BS is a group, so SBS lies in it when each generator of SBS
+            # passes the autotopism law on L with some witness (f, g).
+            gens = generators(sorted(sbs_set), compose_images, ide.images)[0]
+            lone = [p for p in gens if not special_witnesses(L, Perm._unchecked(p))]
+            if lone:
+                return _result(False, f"{detail} not special: {lone}")
+            return _result(True, detail)
 
         def check_c11():
             extra = sorted(p for p in sbs_set if any(p[x] not in hset for x in hset))

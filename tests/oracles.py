@@ -41,8 +41,19 @@ def brute_subgroups(L):
 
 def brute_associative(L):
     """Triple scan of (x*y)*z = x*(y*z)."""
+    return brute_first_nonassociative(L) is None
+
+
+def brute_first_nonassociative(L):
+    """The first (x, y, z), in lexicographic order, with (x*y)*z != x*(y*z),
+    or None."""
     r = range(L.n)
-    return all(mul(L, mul(L, x, y), z) == mul(L, x, mul(L, y, z)) for x in r for y in r for z in r)
+    for x in r:
+        for y in r:
+            for z in r:
+                if mul(L, mul(L, x, y), z) != mul(L, x, mul(L, y, z)):
+                    return (x, y, z)
+    return None
 
 
 def group_axiom_violation(perms):

@@ -20,6 +20,7 @@ from loopforge import (
     normalize,
     read_table,
     s_subgroups,
+    validate_table,
     write_catalog,
     write_table,
 )
@@ -80,15 +81,23 @@ class TestGeneration:
         assert sum(1 for _ in generate_loops(5)) == 56
 
     def test_counts_match_colmajor_recount(self):
-        for n in (2, 3, 4, 5):
-            assert sum(1 for _ in generate_loops(n)) == count_reduced_squares_colmajor(n)
+        for n in (2, 3, 4, 5, 6):
+            stream = generate_loops(n, allow_order_six=True)
+            assert sum(1 for _ in stream) == count_reduced_squares_colmajor(n)
 
     def test_stream_is_lexicographic_and_normalized(self):
-        flat = [sum(e.loop.table, ()) for e in generate_loops(5)]
-        assert flat == sorted(flat)
-        for e in generate_loops(4):
-            assert e.loop.e == 0
-            assert e.loop.table[0] == (0, 1, 2, 3)
+        # With the recount above: distinct valid reduced squares, as many as
+        # there are, so each stream is exactly the set of reduced squares.
+        for n in range(2, 7):
+            tables = [e.loop.table for e in generate_loops(n, allow_order_six=True)]
+            flat = [sum(t, ()) for t in tables]
+            assert flat == sorted(flat)
+            assert len(set(flat)) == len(flat)
+            natural = tuple(range(n))
+            for t in tables:
+                L = validate_table(t)
+                assert L.table == t and L.e == 0
+                assert t[0] == natural and tuple(row[0] for row in t) == natural
 
     def test_first_order_4_entry_is_klein(self, klein):
         first = next(iter(generate_loops(4)))

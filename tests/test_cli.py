@@ -11,7 +11,9 @@ from loopforge import (
     content_id,
     cyclic_loop,
     format_table,
+    generate_loops,
     n5_loop,
+    write_catalog,
     write_table,
 )
 from loopforge import catalog, cli, sbs
@@ -470,6 +472,22 @@ class TestReportCache:
         digest = hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
         assert (REPORT_FORMAT, digest) == (
             2, "bd0beb27447458f373777b67b3e5ba390026ec8ec87bbe4f4db477d47dd6a2c9"
+        )
+
+    def test_report_format_pins_every_cat5_cache_entry(self, tmp_path, monkeypatch, capsys):
+        # The same rule over every order-5 loop with a subgroup: hash the
+        # cache entries, format stamp included, in id order.
+        cat5 = tmp_path / "cat5"
+        write_catalog(generate_loops(5), cat5)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
+        assert main(["verify", str(cat5)]) == 0
+        capsys.readouterr()
+        entries = sorted(cache.glob("*.report.json"))
+        assert len(entries) == 26
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in entries)).hexdigest()
+        assert (REPORT_FORMAT, digest) == (
+            2, "4688a4169ae7e4b2fb77c5bda360539ba5bf6d56ec5791922275a59531c14485"
         )
 
     def test_cached_report_names_the_verified_path(self, z4_file, tmp_path, monkeypatch):

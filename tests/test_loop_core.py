@@ -15,6 +15,7 @@ from loopforge import (
     is_subgroup,
     middle_nucleus,
     parse_table,
+    principal_isotope,
     s_loop_context,
     s_subgroups,
     subgroup_violation,
@@ -23,7 +24,7 @@ from loopforge import (
     validate_table,
 )
 
-from oracles import brute_associative, brute_subgroups
+from oracles import brute_associative, brute_first_nonassociative, brute_subgroups
 
 
 class TestValidation:
@@ -165,6 +166,30 @@ class TestSubgroups:
         found = [h.elements for h in subgroups(L)]
         assert (0, 2, 4, 6) in found
         assert found == brute_subgroups(L)
+
+    def test_identity_skips_follow_e_on_principal_isotopes(self):
+        # The (f, g) isotope has identity f*g, so the identity of most of
+        # these loops is not 0, and many of them are not associative.  The
+        # associativity scans skip the identity's rows.  Skipping 0's rows
+        # instead makes subgroup_violation name a later triple than the
+        # first violating one.  In the whole-table scan such a slip cannot
+        # change the answer: from order 4 on, (x*y)*z = x*(y*z) on the other
+        # rows implies it on the rows of any one element.
+        identities = Counter()
+        nonassociative = 0
+        for entry in generate_loops(5):
+            for f in range(5):
+                for g in range(5):
+                    M = principal_isotope(entry.loop, f, g).result
+                    first = brute_first_nonassociative(M)
+                    assert M.associative == (first is None)
+                    assert [h.elements for h in subgroups(M)] == brute_subgroups(M)
+                    expected = None if first is None else f"not associative at {first}"
+                    assert subgroup_violation(M, range(5)) == expected
+                    identities[M.e] += 1
+                    nonassociative += first is not None
+        assert identities == {e: 280 for e in range(5)}
+        assert nonassociative == 1250
 
     def test_order_7_loop_with_a_z3_subgroup(self):
         L = validate_table(

@@ -6,10 +6,13 @@ asserts that the key reads fail on every report of the named loops.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
 from loopforge import (
+    Autotopism,
+    Perm,
     autotopism_group,
     cyclic_loop,
     klein_four,
@@ -21,6 +24,7 @@ from loopforge import (
     sbs,
     verify_theorems,
 )
+from loopforge.perm import identity
 
 LOOPS = {"n5": n5_loop, "Z4": lambda: cyclic_loop(4), "V4": klein_four}
 
@@ -185,3 +189,26 @@ def test_c23_catches_a_lost_automorphism(monkeypatch):
     real = sbs.diagonal
     monkeypatch.setattr(sbs, "diagonal", lambda aut: real(aut)[:-1])
     assert _statuses("Z4", "c23") == ["fail"]
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4"])
+def test_t10_witnesses_the_sbs_generators_on_the_loop(name, monkeypatch):
+    # A triple whose W lies outside the loop's BS joins AUT and every omega,
+    # so BS and SBS, both read off AUT, still agree: only the law checks on
+    # L behind each generator of SBS can see it.
+    L = LOOPS[name]()
+    bs = set(sbs.bs_group(L))
+    w = next(p for p in map(Perm, itertools.permutations(range(L.n))) if p not in bs)
+    bogus = Autotopism(identity(L.n), identity(L.n), w)
+    real_aut, real_omega = sbs.autotopism_group, sbs._omega_of
+    monkeypatch.setattr(sbs, "autotopism_group", lambda L, cap: real_aut(L, cap=cap) + [bogus])
+    monkeypatch.setattr(
+        sbs, "_omega_of",
+        lambda aut, e, hset: [a for a in real_omega(aut, e, hset) if a != bogus] + [bogus],
+    )
+    assert set(_statuses(name, "t10")) == {"fail"}
+
+
+def test_v4_has_no_w_outside_bs():
+    # Why the t10 defect above skips V4: its BS is all of S_4.
+    assert len(sbs.bs_group(klein_four())) == 24
