@@ -165,6 +165,8 @@ def parse_isotope_record(text: str) -> PrincipalIsotopeRecord:
     except (ValueError, KeyError):
         raise ParseError(f"bad isotope line {lines[marker]!r}", line=marker + 1) from None
     source = parse_table("\n".join(lines[:marker]))
+    if not (0 <= f < source.n and 0 <= g < source.n):
+        raise ParseError(f"parameters ({f}, {g}) outside 0..{source.n - 1}", line=marker + 1)
     stored = parse_table("\n".join(lines[marker + 1:]))
     record = principal_isotope(source, f, g)
     if stored.table != record.result.table:

@@ -10,10 +10,11 @@ by the middle nucleus.
 
 Every autotopism (U, V, W) has this special shape with theta = W and
 witness (f, g) = (U(e), V(e)), so all of these objects are projections or
-filters of one autotopism_group result.  The groups come back as sorted
-lists of Perm, omega and its kernel as lists of Autotopism whose witness is
-read off as (a.u.images[e], a.v.images[e]), and special_witnesses as
-(f, g) pairs.
+filters of one autotopism_group result, which _derive computes once per
+subgroup for the _CHECKS table and the public projections.  The groups come
+back as sorted lists of Perm, omega and its kernel as lists of Autotopism
+whose witness is read off as (a.u.images[e], a.v.images[e]), and
+special_witnesses as (f, g) pairs.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 
-from .errors import InvariantViolation, NotSLoop
+from .errors import DegreeMismatch, InvariantViolation, NotSLoop
 from .isotopy import (
     DEFAULT_SEARCH_CAP,
     Autotopism,
     _check_cap,
     autotopism_group,
     autotopism_set_violation,
-    automorphism_group,
     carry_autotopisms,
     diagonal,
     isomorphisms,
@@ -39,10 +39,6 @@ from .isotopy import (
 from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
 from .perm import Perm, compose_images, generators, group_violation, identity
 
-CHECK_KEYS = (
-    "t10", "c11", "t12", "t12_1", "t8", "t13", "t14", "t15",
-    "t16", "t17", "t18", "t19", "t20", "c21", "c23",
-)
 
 def check_perm_group(perms) -> str | None:
     """Closure/identity violation for equal-degree perms, or None."""
@@ -86,6 +82,10 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list[tuple
     in the test suite as an oracle.
     """
     imgs = theta.images
+    if len(imgs) != L.n:
+        raise DegreeMismatch(f"theta of degree {len(imgs)} on an order-{L.n} loop")
+    if restrict_to is not None and restrict_to.parent != L:
+        raise ValueError("subgroup belongs to a different loop")
     domain = range(L.n) if restrict_to is None else restrict_to.elements
     t, ld, rd = L.table, L.ldiv, L.rdiv
     out = []
@@ -110,26 +110,109 @@ def _omega_of(aut: list[Autotopism], e: int, hset) -> list[Autotopism]:
     return [a for a in aut if _in_omega(*a.key(), e, hset)]
 
 
-def _isotope_isomorphisms(L: LoopTable, h: tuple, cap: int, memo: dict) -> list[tuple]:
-    """((f, g), isotope record, isomorphisms from L onto the isotope) for
-    every pair in h x h.
-
-    memo maps (f, g) to the last two, so callers that pass the same dict
-    for several subgroups build each isotope and search it once.
-    """
-    out = []
-    for f in h:
-        for g in h:
-            if (f, g) not in memo:
-                record = principal_isotope(L, f, g)
-                memo[f, g] = record, isomorphisms(L, record.result, cap=cap)
-            out.append(((f, g), *memo[f, g]))
-    return out
-
-
 def _theta_of(isos: list[tuple], hset) -> list[tuple[int, int]]:
     # An H-preserving isomorphism onto the isotope inverts to one back.
     return [pair for pair, _, found in isos if any(_keeps(a, hset) for a in found)]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    status: str  # "pass" | "fail" | "n/a"
+    detail: str
+
+    def to_json_dict(self) -> dict:
+        return {"status": self.status, "detail": self.detail}
+
+
+def _result(ok: bool, detail: str) -> CheckResult:
+    return CheckResult("pass" if ok else "fail", detail)
+
+
+@dataclass(frozen=True)
+class _Base:
+    """What every subgroup of one loop shares: AUT, what is read off it,
+    and per-(f, g) memos, so subgroups holding f and g share them.  isotopes
+    holds (record, isomorphisms onto it); t12_1 fills round_trips and t13
+    fills carried as they first ask."""
+
+    loop: LoopTable
+    cap: int
+    aut: list[Autotopism]
+    keys: list[tuple]
+    bs: frozenset
+    aum: list[Perm]
+    nucleus: frozenset
+    isotopes: dict
+    round_trips: dict
+    carried: dict
+
+
+def _base(L: LoopTable, cap: int) -> _Base:
+    aut = autotopism_group(L, cap=cap)
+    return _Base(
+        L, cap, aut, [a.key() for a in aut], frozenset(a.w.images for a in aut),
+        diagonal(aut), frozenset(middle_nucleus(L).elements), {}, {}, {},
+    )
+
+
+@dataclass(frozen=True)
+class _Subgroup:
+    """Every object the checks compare for one subgroup H; sbs holds image
+    tuples, and omega_violation and kernel are t15's and t17's outcomes."""
+
+    h: tuple
+    hset: frozenset
+    ssym: int
+    omega: list[Autotopism]
+    omega_violation: str | None
+    sbs: frozenset
+    sa: list[Perm]
+    isos: list[tuple]
+    theta: list[tuple[int, int]]
+    ker: list[Autotopism]
+    kernel: CheckResult
+    n_mu_cap_h: int
+    gs_loop: bool
+    criterion: bool
+
+
+def _derive(b: _Base, hsub) -> _Subgroup:
+    """The one derivation of omega, SBS, SA, theta and ker for hsub."""
+    L, h = b.loop, hsub.elements
+    n, hset = L.n, frozenset(h)
+    om = _omega_of(b.aut, L.e, hset)
+    sbs_set = frozenset(a.w.images for a in om)
+    sa = [a for a in b.aum if _keeps(a, hset)]
+    isos = []  # ((f, g), isotope record, isomorphisms from L onto it)
+    for f in h:
+        for g in h:
+            if (f, g) not in b.isotopes:
+                record = principal_isotope(L, f, g)
+                b.isotopes[f, g] = record, isomorphisms(L, record.result, cap=b.cap)
+            isos.append(((f, g), *b.isotopes[f, g]))
+    th = _theta_of(isos, hset)
+    ide = identity(n)
+    ker = [a for a in om if a.w == ide]
+    # t17: ker is exactly the N_mu-in-H pairs, each witness with g * f = e and
+    # g in N_mu.  Kept in the record so that ker_phi raises exactly when t17 fails.
+    ld, nucleus_h = L.ldiv, b.nucleus & hset
+    expected = {(tuple(L.rdiv[x][g] for x in range(n)), ld[ld[g][L.e]], ide.images)
+                for g in nucleus_h}
+    kernel_ok = expected == {a.key() for a in ker}
+    kernel_detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"
+    for a in ker:
+        f, g = a.u.images[L.e], a.v.images[L.e]
+        if L.table[g][f] != L.e or g not in b.nucleus:
+            kernel_ok = False
+            kernel_detail += f" bad witness ({f},{g})"
+    square = len(h) * len(h)
+    return _Subgroup(
+        h=h, hset=hset, ssym=math.factorial(len(h)) * math.factorial(n - len(h)),
+        omega=om, omega_violation=autotopism_set_violation(om, n), sbs=sbs_set, sa=sa,
+        isos=isos, theta=th, ker=ker, kernel=_result(kernel_ok, kernel_detail),
+        n_mu_cap_h=len(nucleus_h), gs_loop=len(th) == square,
+        criterion=square * len(sa) == len(sbs_set) * len(nucleus_h),
+    )
 
 
 def bs_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
@@ -145,20 +228,18 @@ def sbs_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
 
 def sa_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
     """Subgroup-stabilizing automorphisms, sorted: SSYM meet AUM."""
-    hset = set(ctx.h.elements)
-    return [a for a in automorphism_group(ctx.loop, cap=cap) if _keeps(a, hset)]
+    return _derive(_base(ctx.loop, cap), ctx.h).sa
 
 
 def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
     """All autotopisms (theta . R_g^-1, theta . L_f^-1, theta) with f, g in
     the subgroup and theta stabilizing it, sorted by triple; the witness of
-    a is (f, g) = (a.u.images[e], a.v.images[e])."""
-    L = ctx.loop
-    elements = _omega_of(autotopism_group(L, cap=cap), L.e, set(ctx.h.elements))
-    violation = autotopism_set_violation(elements, L.n)
-    if violation is not None:
-        raise InvariantViolation(f"omega is not a group: {violation}")
-    return elements
+    a is (f, g) = (a.u.images[e], a.v.images[e]).  Raises exactly when t15
+    fails."""
+    s = _derive(_base(ctx.loop, cap), ctx.h)
+    if s.omega_violation is not None:
+        raise InvariantViolation(f"omega is not a group: {s.omega_violation}")
+    return s.omega
 
 
 def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[int, int]]:
@@ -168,36 +249,196 @@ def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[in
     subgroup-preserving isomorphism onto the original loop.  (e, e) always
     qualifies via the identity map.
     """
-    isos = _isotope_isomorphisms(ctx.loop, ctx.h.elements, cap, {})
-    return _theta_of(isos, set(ctx.h.elements))
+    return _derive(_base(ctx.loop, cap), ctx.h).theta
 
 
 def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
-    """Omega elements whose third component is the identity.
-
-    Each kernel element's witness satisfies g * f = e with g in the middle
-    nucleus; both facts are checked.
-    """
-    L = ctx.loop
-    ide = identity(L.n)
-    nucleus = set(middle_nucleus(L).elements)
-    out = [a for a in omega(ctx, cap=cap) if a.w == ide]
-    for a in out:
-        f, g = a.u.images[L.e], a.v.images[L.e]
-        if L.table[g][f] != L.e:
-            raise InvariantViolation(f"kernel witness ({f}, {g}) has g*f != e")
-        if g not in nucleus:
-            raise InvariantViolation(f"kernel witness g={g} outside the middle nucleus")
-    return out
+    """Omega elements whose third component is the identity.  Raises
+    exactly when t17 fails."""
+    s = _derive(_base(ctx.loop, cap), ctx.h)
+    if s.kernel.status == "fail":
+        raise InvariantViolation(f"kernel is not the nucleus pairs in H: {s.kernel.detail}")
+    return s.ker
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # "pass" | "fail" | "n/a"
-    detail: str
+def _t10(b: _Base, s: _Subgroup) -> CheckResult:
+    """SBS lies in BS, and each generator of SBS has a special witness on L."""
+    extra = sorted(s.sbs - b.bs)
+    detail = f"|SBS|={len(s.sbs)} |BS|={len(b.bs)}"
+    if extra:
+        return _result(False, f"{detail} outside BS: {extra}")
+    # BS is a group, so SBS lies in it when each generator of SBS passes the
+    # autotopism law on L with some witness (f, g); t16 checks closure.
+    gens = generators(sorted(s.sbs), compose_images, tuple(range(b.loop.n)))[0]
+    lone = [p for p in gens if not special_witnesses(b.loop, Perm._unchecked(p))]
+    if lone:
+        return _result(False, f"{detail} not special: {lone}")
+    return _result(True, detail)
 
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "detail": self.detail}
+
+def _c11(b: _Base, s: _Subgroup) -> CheckResult:
+    """SBS sits inside SSYM, of size |H|! (n - |H|)!."""
+    extra = sorted(p for p in s.sbs if any(p[x] not in s.hset for x in s.hset))
+    detail = f"|SBS|={len(s.sbs)} |SSYM|={s.ssym}"
+    if extra:
+        detail += f" outside SSYM: {extra}"
+    return _result(not extra, detail)
+
+
+def _t12(b: _Base, s: _Subgroup) -> CheckResult:
+    """Subgroup-parameter isotopes keep H as a subgroup."""
+    # principal_isotope already raised on a non-loop or a wrong identity.
+    # The isotope's products on H are recomputed from L's divisions, so a
+    # record of another pair, or relabelled, cannot pass.
+    L = b.loop
+    for (f, g), record, _ in s.isos:
+        ld = L.ldiv[f]
+        got = record.result.table
+        for x in s.h:
+            row = L.table[L.rdiv[x][g]]
+            for y in s.h:
+                if got[x][y] != row[ld[y]]:
+                    return _result(False, f"isotope ({f},{g}) gives {x}o{y} = {got[x][y]},"
+                                          f" but ({x}/{g})*({f}\\{y}) = {row[ld[y]]}")
+        violation = subgroup_violation(record.result, s.h)
+        if violation is not None:
+            return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
+    return _result(True, f"{len(s.isos)} isotopes valid, subgroup preserved")
+
+
+def _t12_1(b: _Base, s: _Subgroup) -> CheckResult:
+    """The reversed parameter pair reconstructs the original table."""
+    for (f, g), record, _ in s.isos:
+        if (f, g) not in b.round_trips:
+            b.round_trips[f, g] = principal_isotope(record.result, g, f).result.table
+        if b.round_trips[f, g] != b.loop.table:
+            return _result(False, f"({f},{g}) round trip altered the table")
+    return _result(True, f"{len(s.isos)} round trips exact")
+
+
+def _t8(b: _Base, s: _Subgroup) -> CheckResult:
+    """SBS from AUT and from the isotope-isomorphism search agree."""
+    # Isomorphisms are injective, so a map sending H into H sends it onto H.
+    via_iso = {a.images for _, _, found in s.isos for a in found if _keeps(a, s.hset)}
+    ok = via_iso == s.sbs
+    detail = f"witness route {len(s.sbs)}, isotope route {len(via_iso)}"
+    if not ok:
+        detail += f" difference: {sorted(via_iso ^ s.sbs)}"
+    return _result(ok, detail)
+
+
+def _t13(b: _Base, s: _Subgroup) -> CheckResult:
+    """Every subgroup-parameter isotope has the same SBS; all of AUT is carried and law-checked."""
+    for (f, g), record, _ in s.isos:
+        if (f, g) not in b.carried:
+            b.carried[f, g] = carry_autotopisms(b.keys, record)
+        e2 = record.result.e
+        other = {w for u, v, w in b.carried[f, g] if _in_omega(u, v, w, e2, s.hset)}
+        if other != s.sbs:
+            detail = f"({f},{g}) isotope SBS has {len(other)} members, base has {len(s.sbs)}"
+            return _result(False, detail)
+    return _result(True, f"SBS invariant across {len(s.isos)} isotopes")
+
+
+def _t14(b: _Base, s: _Subgroup) -> CheckResult:
+    """|BS| is |SBS| times an integer index (aggregate: averaged form)."""
+    ok = len(b.bs) % len(s.sbs) == 0
+    detail = f"|BS|={len(b.bs)} |SBS|={len(s.sbs)} index={len(b.bs) / len(s.sbs):g}"
+    return _result(ok, detail)
+
+
+def _t15(b: _Base, s: _Subgroup) -> CheckResult:
+    """omega is a subgroup of the full autotopism group."""
+    detail = f"|omega|={len(s.omega)} |AUT|={len(b.aut)}"
+    if s.omega_violation is not None:
+        detail += f" omega is not a group: {s.omega_violation}"
+    return _result(s.omega_violation is None, detail)
+
+
+def _t16(b: _Base, s: _Subgroup) -> CheckResult:
+    """SBS is closed, so projecting omega onto SBS is multiplicative."""
+    # The triple product is componentwise, so the projected products of
+    # omega lie in SBS exactly when SBS is closed.
+    violation = check_perm_group(sorted({a.w for a in s.omega}))
+    detail = f"|SBS|={len(s.sbs)}"
+    if violation is not None:
+        return _result(False, f"{detail} SBS is not a group: {violation}")
+    return _result(True, f"{detail} closed under composition")
+
+
+def _t17(b: _Base, s: _Subgroup) -> CheckResult:
+    """Kernel elements are exactly the nucleus-in-subgroup pairs."""
+    return s.kernel
+
+
+def _t18(b: _Base, s: _Subgroup) -> CheckResult:
+    """|omega| = |SBS| * |ker|, with |ker| = |N_mu intersect H|."""
+    ker, nucleus = len(s.ker), len(b.nucleus)
+    med = ker == s.n_mu_cap_h
+    fact = len(s.omega) == len(s.sbs) * ker
+    detail = (
+        f"|ker|={ker} |N_mu|={nucleus} |N_mu^H|={s.n_mu_cap_h}"
+        f" literal_reading={'pass' if ker == nucleus else 'fail'}"
+        f" intersect_reading={'pass' if med else 'fail'}"
+        f" |omega|={len(s.omega)} |SBS|*|ker|={len(s.sbs) * ker}"
+    )
+    return _result(med and fact, detail)
+
+
+def _t19(b: _Base, s: _Subgroup) -> CheckResult:
+    """|omega| = |theta| * |SA|."""
+    ok = len(s.omega) == len(s.theta) * len(s.sa)
+    return _result(ok, f"|omega|={len(s.omega)} |theta|={len(s.theta)} |SA|={len(s.sa)}")
+
+
+def _t20(b: _Base, s: _Subgroup) -> CheckResult:
+    """theta covers H x H exactly when |H|^2 |SA| = |SBS| |N_mu^H|."""
+    square_sa = len(s.h) * len(s.h) * len(s.sa)
+    rhs_lit = square_sa == len(s.sbs) * len(b.nucleus)
+    detail = (
+        f"theta covers HxH: {s.gs_loop}; |H|^2*|SA|={square_sa}"
+        f" |SBS|*|N_mu^H|={len(s.sbs) * s.n_mu_cap_h}"
+        f" |SBS|*|N_mu|={len(s.sbs) * len(b.nucleus)}"
+        f" literal_reading={'pass' if s.gs_loop == rhs_lit else 'fail'}"
+    )
+    return _result(s.gs_loop == s.criterion, detail)
+
+
+def _c21(b: _Base, s: _Subgroup) -> CheckResult:
+    """The t20 criterion read as the isotopy-invariance property."""
+    detail = f"gs_loop={str(s.gs_loop).lower()} criterion={str(s.criterion).lower()}"
+    return _result(s.gs_loop == s.criterion, detail)
+
+
+def _c23(b: _Base, s: _Subgroup) -> CheckResult:
+    """Index consequences when the loop passes c21 with |N_mu| > 1."""
+    hsize, nucleus, sa, sbs = len(s.h), len(b.nucleus), len(s.sa), len(s.sbs)
+    if not s.gs_loop or nucleus <= 1:
+        return CheckResult("n/a", f"gs_loop={str(s.gs_loop).lower()} |N_mu|={nucleus}")
+    by_sa = hsize * sa == sbs
+    a_int = hsize == s.n_mu_cap_h
+    ok = a_int == by_sa
+    detail = (
+        f"|H|={hsize} |N_mu|={nucleus} |N_mu^H|={s.n_mu_cap_h}"
+        f" |SBS|/|SA|={sbs / sa:g}"
+        f" literal_lemma={'pass' if (hsize == nucleus) == by_sa else 'fail'}"
+    )
+    if a_int:
+        total = b.loop.n * sa
+        if total % sbs != 0 or total // sbs <= 1:
+            ok = False
+            detail += f" index |G|*|SA|/|SBS|={total / sbs:g} not an integer > 1"
+        else:
+            detail += f" index={total // sbs}"
+    return _result(ok, detail)
+
+
+_CHECKS = (
+    ("t10", _t10), ("c11", _c11), ("t12", _t12), ("t12_1", _t12_1), ("t8", _t8),
+    ("t13", _t13), ("t14", _t14), ("t15", _t15), ("t16", _t16), ("t17", _t17),
+    ("t18", _t18), ("t19", _t19), ("t20", _t20), ("c21", _c21), ("c23", _c23),
+)
+CHECK_KEYS = tuple(key for key, _ in _CHECKS)
 
 
 @dataclass(frozen=True)
@@ -237,12 +478,9 @@ class AggregateReport:
     checks: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "s_subgroups": self.s_subgroup_count,
-            "bs": self.bs,
-            "checks": {k: v.to_json_dict() for k, v in self.checks.items()},
-        }
+        checks = {k: v.to_json_dict() for k, v in self.checks.items()}
+        return {"order": self.order, "s_subgroups": self.s_subgroup_count, "bs": self.bs,
+                "checks": checks}
 
 
 @dataclass(frozen=True)
@@ -265,13 +503,9 @@ class LoopVerification:
         return not self.failed_checks()
 
 
-def _result(ok: bool, detail: str) -> CheckResult:
-    return CheckResult("pass" if ok else "fail", detail)
-
-
-def _guarded(fn) -> CheckResult:
+def _guarded(fn, b: _Base, s: _Subgroup) -> CheckResult:
     try:
-        return fn()
+        return fn(b, s)
     except InvariantViolation as exc:
         return CheckResult("fail", f"invariant violated: {exc}")
 
@@ -279,30 +513,8 @@ def _guarded(fn) -> CheckResult:
 def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerification:
     """Machine-check every recorded identity for each proper subgroup of L.
 
-    Check keys and what they witness:
-      t10    SBS is contained in BS, and each generator of SBS has a special
-             witness on L (closure of SBS is checked by t16)
-      c11    SBS sits inside SSYM, of size |H|! (n - |H|)!
-      t12    subgroup-parameter isotopes keep H as a subgroup (an isotope that
-             is not a loop, or has the wrong identity, raises while it is
-             built, so verify_theorems raises instead of reporting a fail)
-      t12_1  the reversed parameter pair reconstructs the original table
-      t8     SBS from AUT and from the isotope-isomorphism search agree (one
-             count per route)
-      t13    every subgroup-parameter isotope has the same SBS (AUT carried over,
-             every carried triple law-checked on the isotope's table)
-      t14    |BS| is |SBS| times an integer index (aggregate: averaged form)
-      t15    omega is a subgroup of the full autotopism group
-      t16    SBS is closed under composition: the triple product is
-             componentwise, so this is what projecting omega onto SBS
-             multiplicatively asks
-      t17    kernel elements are exactly the nucleus-in-subgroup pairs
-      t18    |omega| = |SBS| * |ker|, with |ker| = |N_mu intersect H|
-      t19    |omega| = |theta| * |SA|
-      t20    theta covers H x H exactly when |H|^2 |SA| = |SBS| |N_mu^H|
-      c21    same criterion read as the isotopy-invariance property
-      c23    index consequences when the loop passes c21 with |N_mu| > 1
-
+    Each subgroup's _derive record goes through the (key, check) pairs of
+    _CHECKS in order; each check's docstring says what it witnesses.
     Counts involving the middle nucleus are evaluated in two readings, the
     full nucleus and its intersection with H; pass/fail follows the
     intersection reading and the detail string records both.
@@ -313,244 +525,27 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
     if not subs:
         raise NotSLoop(f"order-{n} loop has no proper non-trivial subgroup")
 
-    aut = autotopism_group(L, cap=cap)
-    keys = [a.key() for a in aut]
-    bs_set = frozenset(a.w.images for a in aut)
-    aum = diagonal(aut)
-    nucleus_set = set(middle_nucleus(L).elements)
-    ide = identity(n)
-
-    # Per (f, g), shared by every subgroup containing f and g: the isotope
-    # record and its isomorphisms, the round-trip table, and AUT carried
-    # onto the isotope.
-    isotopes = {}
-    round_trips = {}
-    carried = {}
+    b = _base(L, cap)
+    bs = len(b.bs)
     reports = []
-    sbs_sizes = []
     for hsub in subs:
-        hset = set(hsub.elements)
-        hsize = len(hsub)
-        om = _omega_of(aut, L.e, hset)
-        sbs_set = frozenset(a.w.images for a in om)
-        sa = [a for a in aum if _keeps(a, hset)]
-        isos = _isotope_isomorphisms(L, hsub.elements, cap, isotopes)
-        th = _theta_of(isos, hset)
-        ker = [a for a in om if a.w == ide]
-        sbs_sizes.append(len(sbs_set))
-
-        ssym_size = math.factorial(hsize) * math.factorial(n - hsize)
-        n_mu_cap_h = len(nucleus_set & hset)
-        gs_loop = len(th) == hsize * hsize
-        criterion = hsize * hsize * len(sa) == len(sbs_set) * n_mu_cap_h
-
-        def check_t10():
-            extra = sorted(sbs_set - bs_set)
-            detail = f"|SBS|={len(sbs_set)} |BS|={len(bs_set)}"
-            if extra:
-                return _result(False, f"{detail} outside BS: {extra}")
-            # BS is a group, so SBS lies in it when each generator of SBS
-            # passes the autotopism law on L with some witness (f, g).
-            gens = generators(sorted(sbs_set), compose_images, ide.images)[0]
-            lone = [p for p in gens if not special_witnesses(L, Perm._unchecked(p))]
-            if lone:
-                return _result(False, f"{detail} not special: {lone}")
-            return _result(True, detail)
-
-        def check_c11():
-            extra = sorted(p for p in sbs_set if any(p[x] not in hset for x in hset))
-            detail = f"|SBS|={len(sbs_set)} |SSYM|={ssym_size}"
-            if extra:
-                detail += f" outside SSYM: {extra}"
-            return _result(not extra, detail)
-
-        def check_t12():
-            # principal_isotope already raised on a non-loop or a wrong identity.
-            # The isotope's products on H are recomputed from L's divisions,
-            # so a record of another pair, or relabelled, cannot pass.
-            h = hsub.elements
-            for (f, g), record, _ in isos:
-                ld = L.ldiv[f]
-                got = record.result.table
-                for x in h:
-                    row = L.table[L.rdiv[x][g]]
-                    for y in h:
-                        if got[x][y] != row[ld[y]]:
-                            return _result(
-                                False,
-                                f"isotope ({f},{g}) gives {x}o{y} = {got[x][y]},"
-                                f" but ({x}/{g})*({f}\\{y}) = {row[ld[y]]}",
-                            )
-                violation = subgroup_violation(record.result, h)
-                if violation is not None:
-                    return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
-            return _result(True, f"{len(isos)} isotopes valid, subgroup preserved")
-
-        def check_t12_1():
-            for (f, g), record, _ in isos:
-                if (f, g) not in round_trips:
-                    round_trips[f, g] = principal_isotope(record.result, g, f).result.table
-                if round_trips[f, g] != L.table:
-                    return _result(False, f"({f},{g}) round trip altered the table")
-            return _result(True, f"{len(isos)} round trips exact")
-
-        def check_t8():
-            # Isomorphisms are injective, so a map sending H into H sends it onto H.
-            via_iso = {a.images for _, _, found in isos for a in found if _keeps(a, hset)}
-            ok = via_iso == sbs_set
-            detail = f"witness route {len(sbs_set)}, isotope route {len(via_iso)}"
-            if not ok:
-                diff = sorted(via_iso ^ sbs_set)
-                detail += f" difference: {diff}"
-            return _result(ok, detail)
-
-        def check_t13():
-            for (f, g), record, _ in isos:
-                if (f, g) not in carried:
-                    carried[f, g] = carry_autotopisms(keys, record)
-                e2 = record.result.e
-                other = {w for u, v, w in carried[f, g] if _in_omega(u, v, w, e2, hset)}
-                if other != sbs_set:
-                    return _result(
-                        False,
-                        f"({f},{g}) isotope SBS has {len(other)} members, base has {len(sbs_set)}",
-                    )
-            return _result(True, f"SBS invariant across {len(isos)} isotopes")
-
-        def check_t14():
-            ok = len(bs_set) % len(sbs_set) == 0
-            detail = (
-                f"|BS|={len(bs_set)} |SBS|={len(sbs_set)}"
-                f" index={len(bs_set) / len(sbs_set):g}"
-            )
-            return _result(ok, detail)
-
-        def check_t15():
-            violation = autotopism_set_violation(om, n)
-            detail = f"|omega|={len(om)} |AUT|={len(aut)}"
-            if violation is not None:
-                detail += f" omega is not a group: {violation}"
-            return _result(violation is None, detail)
-
-        def check_t16():
-            # The triple product is componentwise, so the projected products
-            # of omega lie in SBS exactly when SBS is closed.
-            violation = check_perm_group(sorted({a.w for a in om}))
-            detail = f"|SBS|={len(sbs_set)}"
-            if violation is not None:
-                return _result(False, f"{detail} SBS is not a group: {violation}")
-            return _result(True, f"{detail} closed under composition")
-
-        def check_t17():
-            expected = set()
-            ld = L.ldiv
-            for g in sorted(nucleus_set & hset):
-                f = ld[g][L.e]
-                u = tuple(L.rdiv[x][g] for x in range(n))
-                expected.add((u, ld[f], ide.images))
-            actual = {a.key() for a in ker}
-            ok = expected == actual
-            detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"
-            for a in ker:
-                f, g = a.u.images[L.e], a.v.images[L.e]
-                if L.table[g][f] != L.e or g not in nucleus_set:
-                    ok = False
-                    detail += f" bad witness ({f},{g})"
-            return _result(ok, detail)
-
-        def check_t18():
-            lit = len(ker) == len(nucleus_set)
-            med = len(ker) == n_mu_cap_h
-            fact = len(om) == len(sbs_set) * len(ker)
-            detail = (
-                f"|ker|={len(ker)} |N_mu|={len(nucleus_set)} |N_mu^H|={n_mu_cap_h}"
-                f" literal_reading={'pass' if lit else 'fail'}"
-                f" intersect_reading={'pass' if med else 'fail'}"
-                f" |omega|={len(om)} |SBS|*|ker|={len(sbs_set) * len(ker)}"
-            )
-            return _result(med and fact, detail)
-
-        def check_t19():
-            ok = len(om) == len(th) * len(sa)
-            return _result(ok, f"|omega|={len(om)} |theta|={len(th)} |SA|={len(sa)}")
-
-        def check_t20():
-            rhs_lit = hsize * hsize * len(sa) == len(sbs_set) * len(nucleus_set)
-            detail = (
-                f"theta covers HxH: {gs_loop}; |H|^2*|SA|={hsize * hsize * len(sa)}"
-                f" |SBS|*|N_mu^H|={len(sbs_set) * n_mu_cap_h}"
-                f" |SBS|*|N_mu|={len(sbs_set) * len(nucleus_set)}"
-                f" literal_reading={'pass' if gs_loop == rhs_lit else 'fail'}"
-            )
-            return _result(gs_loop == criterion, detail)
-
-        def check_c21():
-            detail = f"gs_loop={'true' if gs_loop else 'false'} criterion={'true' if criterion else 'false'}"
-            return _result(gs_loop == criterion, detail)
-
-        def check_c23():
-            if not gs_loop or len(nucleus_set) <= 1:
-                return CheckResult(
-                    "n/a",
-                    f"gs_loop={'true' if gs_loop else 'false'} |N_mu|={len(nucleus_set)}",
-                )
-            b = hsize * len(sa) == len(sbs_set)
-            a_lit = hsize == len(nucleus_set)
-            a_int = hsize == n_mu_cap_h
-            ok = a_int == b
-            detail = (
-                f"|H|={hsize} |N_mu|={len(nucleus_set)} |N_mu^H|={n_mu_cap_h}"
-                f" |SBS|/|SA|={len(sbs_set) / len(sa):g}"
-                f" literal_lemma={'pass' if a_lit == b else 'fail'}"
-            )
-            if a_int:
-                total = n * len(sa)
-                if total % len(sbs_set) != 0 or total // len(sbs_set) <= 1:
-                    ok = False
-                    detail += f" index |G|*|SA|/|SBS|={total / len(sbs_set):g} not an integer > 1"
-                else:
-                    detail += f" index={total // len(sbs_set)}"
-            return _result(ok, detail)
-
-        in_key_order = (
-            check_t10, check_c11, check_t12, check_t12_1, check_t8, check_t13, check_t14,
-            check_t15, check_t16, check_t17, check_t18, check_t19, check_t20, check_c21,
-            check_c23,
-        )
-        checks = {key: _guarded(fn) for key, fn in zip(CHECK_KEYS, in_key_order)}
-
-        reports.append(
-            CardinalityReport(
-                subgroup=hsub.elements,
-                order=n,
-                h=hsize,
-                bs=len(bs_set),
-                sbs=len(sbs_set),
-                ssym=ssym_size,
-                aum=len(aum),
-                sa=len(sa),
-                aut=len(aut),
-                omega=len(om),
-                theta=len(th),
-                n_mu=len(nucleus_set),
-                n_mu_cap_h=n_mu_cap_h,
-                ker_phi=len(ker),
-                checks=checks,
-            )
-        )
+        s = _derive(b, hsub)
+        reports.append(CardinalityReport(
+            subgroup=s.h, order=n, h=len(s.h), bs=bs, sbs=len(s.sbs), ssym=s.ssym,
+            aum=len(b.aum), sa=len(s.sa), aut=len(b.aut), omega=len(s.omega),
+            theta=len(s.theta), n_mu=len(b.nucleus), n_mu_cap_h=s.n_mu_cap_h,
+            ker_phi=len(s.ker), checks={key: _guarded(fn, b, s) for key, fn in _CHECKS},
+        ))
 
     k = len(subs)
-    total = sum(size * (len(bs_set) // size) for size in sbs_sizes)
-    exact = all(len(bs_set) % size == 0 for size in sbs_sizes)
-    agg_ok = exact and total == k * len(bs_set)
+    sizes = [rep.sbs for rep in reports]
+    total = sum(size * (bs // size) for size in sizes)
+    agg_ok = all(bs % size == 0 for size in sizes) and total == k * bs
     agg_detail = (
-        f"k={k} |BS|={len(bs_set)} sum(|SBS_i|*index_i)={total}"
+        f"k={k} |BS|={bs} sum(|SBS_i|*index_i)={total}"
         f" average={'exact' if agg_ok else f'{total}/{k}'}"
     )
     aggregate = AggregateReport(
-        order=n,
-        s_subgroup_count=k,
-        bs=len(bs_set),
-        checks={"t14": _result(agg_ok, agg_detail)},
+        order=n, s_subgroup_count=k, bs=bs, checks={"t14": _result(agg_ok, agg_detail)}
     )
     return LoopVerification(tuple(reports), aggregate)

@@ -153,6 +153,16 @@ class TestIsotopeRecordText:
         with pytest.raises(ParseError):
             parse_isotope_record(text)
 
+    @pytest.mark.parametrize("f", [-1, 9])
+    def test_out_of_range_parameter_is_located(self, z4, f):
+        record = principal_isotope(z4, 0, 2)
+        text = format_isotope_record(record).replace("f=0 g=2", f"f={f} g=2")
+        with pytest.raises(ParseError) as exc:
+            parse_isotope_record(text)
+        # The order line and four rows come first, so the marker is line 6.
+        assert exc.value.line == 6
+        assert exc.value.message == f"parameters ({f}, 2) outside 0..3"
+
 
 class TestAutotopisms:
     def test_identity_autotopism(self, z4):

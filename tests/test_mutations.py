@@ -12,9 +12,11 @@ import pytest
 
 from loopforge import (
     Autotopism,
+    InvariantViolation,
     Perm,
     autotopism_group,
     cyclic_loop,
+    ker_phi,
     klein_four,
     n5_loop,
     normalize,
@@ -162,6 +164,21 @@ def test_kernel_checks_catch_the_full_nucleus(key, name, monkeypatch):
 
     monkeypatch.setattr(sbs, "_omega_of", any_witness)
     assert set(_statuses(name, key)) == {"fail"}
+
+
+@pytest.mark.parametrize("name", ["Z4", "V4"])
+def test_ker_phi_raises_where_t17_fails(name, monkeypatch):
+    # Every extra kernel element of the full nucleus also has g * f = e and
+    # g in N_mu, so only t17's comparison with the pairs from N_mu and H
+    # can reject it.
+    def any_witness(aut, e, hset):
+        return [a for a in aut if sbs._keeps(a.w, hset)]
+
+    monkeypatch.setattr(sbs, "_omega_of", any_witness)
+    L = LOOPS[name]()
+    for h in s_subgroups(L):
+        with pytest.raises(InvariantViolation, match="kernel"):
+            ker_phi(s_loop_context(L, h))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from loopforge import (
     CHECK_KEYS,
+    DegreeMismatch,
     NotSLoop,
     Perm,
     autotopism_group,
@@ -90,6 +91,15 @@ class TestSpecialWitnesses:
         got = special_witnesses(z4, theta, restrict_to=z4_ctx.h)
         full = brute_special_witnesses(z4, (0, 1, 2, 3), domain=(0, 2))
         assert got == full == [(0, 0), (2, 2)]
+
+    @pytest.mark.parametrize("theta", [Perm([1, 0]), Perm(range(7))], ids=["short", "long"])
+    def test_rejects_theta_of_another_degree(self, n5, theta):
+        with pytest.raises(DegreeMismatch):
+            special_witnesses(n5, theta)
+
+    def test_rejects_subgroup_of_another_loop(self, n5, z4_ctx):
+        with pytest.raises(ValueError, match="subgroup belongs to a different loop"):
+            special_witnesses(n5, identity(5), restrict_to=z4_ctx.h)
 
 
 class TestBSGroup:
