@@ -8,11 +8,11 @@ table.  Expected counts: 1, 1, 4, 56, 9408 for orders 2 through 6.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -84,6 +84,31 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has affinity masks
         return os.cpu_count() or 1
+
+
+def fan_out(fn, tasks: list, workers: int) -> Iterator:
+    """fn over tasks, yielded in task order, on up to workers processes.
+
+    The pool starts all its workers up front, so it gets no more than there
+    are tasks or CPUs this process may run on.  With fewer than two, or
+    while another thread runs, fn runs in this process: pool workers are
+    forked where that is the default start method, and forking a process
+    that runs other threads can deadlock.  Each worker takes about four
+    chunks of tasks, not one round trip per task.  Closing the iterator
+    cancels the chunks not yet started and waits for the running ones, so
+    no worker outlives it.
+    """
+    workers = min(workers, len(tasks), available_cpus())
+    if workers < 2 or threading.active_count() > 1:
+        yield from map(fn, tasks)
+        return
+    import concurrent.futures
+
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _second_rows(n: int) -> list[tuple]:
@@ -169,19 +194,21 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
 
 def _subtree(task: tuple) -> tuple[list, list]:
     """One row-1 subtree, (n, row1, nonassociative, require_s_subgroup),
-    validated and filtered, in the compact form that _entries reads back.
+    filtered, in the compact form that _entries reads back.
 
-    Top level, so a process pool can run it.  Returns the subtree's distinct
-    rows and, per kept square in stream order, a record (indices of its
-    rows in that list as bytes, associative, S-subgroup count, FNV-1a
-    state).  A subtree of order 6 has at most 84 distinct rows; bytes()
-    raises on an index past 255 rather than wrapping it.
+    Each square is a LoopTable built directly, without validate_table:
+    _reduced_squares proves that it yields reduced Latin squares, so the
+    identity is 0.  Top level, so a process pool can run it.  Returns the
+    subtree's distinct rows and, per kept square in stream order, a record
+    (indices of its rows in that list as bytes, associative, S-subgroup
+    count, FNV-1a state).  A subtree of order 6 has at most 84 distinct
+    rows; bytes() raises on an index past 255 rather than wrapping it.
     """
     n, row1, nonassociative, require_s_subgroup = task
     rows = {}  # row tuple -> its index
     records = []
     for raw, state in _reduced_squares(n, row1):
-        L = validate_table(raw)
+        L = LoopTable(tuple(raw), 0)
         if nonassociative and L.associative:
             continue
         count = len(s_subgroups(L))
@@ -195,10 +222,9 @@ def _subtree(task: tuple) -> tuple[list, list]:
 def _entries(subtree: tuple[list, list]) -> list[CatalogEntry]:
     """The CatalogEntry list of one _subtree result, in stream order.
 
-    Each table is built as a LoopTable directly, without validate_table:
-    its rows are the rows of a square that _subtree validated, in the same
-    order, and a validated reduced square has its identity at 0.
-    CatalogEntry still checks that identity.
+    Each table is built as a LoopTable directly, as in _subtree: its rows
+    are the rows of a square that _reduced_squares yielded, in the same
+    order.  CatalogEntry still checks that the identity is 0.
     """
     rows, records = subtree
     get = rows.__getitem__
@@ -206,18 +232,6 @@ def _entries(subtree: tuple[list, list]) -> list[CatalogEntry]:
         CatalogEntry(LoopTable(tuple(map(get, index)), 0), associative, count, f"{state:016x}")
         for index, associative, count, state in records
     ]
-
-
-def _in_order(pool, tasks: list, window: int) -> Iterator[tuple[list, list]]:
-    """Results of _subtree over tasks, in task order, with at most window
-    tasks submitted ahead of the one being consumed."""
-    pending = deque()
-    for task in tasks:
-        pending.append(pool.submit(_subtree, task))
-        if len(pending) > window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def generate_loops(
@@ -235,11 +249,10 @@ def generate_loops(
 
     The search splits at row 1 into the subtrees of _second_rows(n), which
     are generated independently and yielded in order, so the stream is the
-    same however they are run.  The unbounded order-6 run maps them over a
-    process pool when more than one CPU is available and the process runs
-    no other thread; smaller orders take less time than starting a pool,
-    and a bounded run may need only the first few subtrees, so those run
-    in this process.
+    same however they are run.  The unbounded order-6 run hands them to
+    fan_out with a worker per CPU; smaller orders take less time than
+    starting a pool, and a bounded run may need only the first few
+    subtrees, so those run in this process.
     """
     if n < 2 or n > 6:
         raise OrderTooLarge(f"exhaustive generation covers orders 2..6, got {n}")
@@ -250,31 +263,10 @@ def generate_loops(
 
     def stream() -> Iterator[CatalogEntry]:
         tasks = [(n, row1, nonassociative, require_s_subgroup) for row1 in _second_rows(n)]
-        cpus = available_cpus()
-        pool = None
-        # Pool workers are forked where that is the default start method,
-        # and forking a process that runs other threads can deadlock.
-        if n == 6 and limit is None and cpus > 1 and threading.active_count() == 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(cpus, len(tasks))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            subtrees = _in_order(pool, tasks, 2 * workers)
-        else:
-            subtrees = map(_subtree, tasks)
-        try:
-            produced = 0
-            for subtree in subtrees:
-                for entry in _entries(subtree):
-                    yield entry
-                    produced += 1
-                    if limit is not None and produced >= limit:
-                        return
-        finally:
-            # Cancels the queued subtrees when the stream is closed early,
-            # and waits for the running ones, so no worker outlives it.
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        workers = available_cpus() if n == 6 and limit is None else 1
+        with contextlib.closing(fan_out(_subtree, tasks, workers)) as subtrees:
+            entries = itertools.chain.from_iterable(map(_entries, subtrees))
+            yield from itertools.islice(entries, limit)
 
     return stream()
 

@@ -7,11 +7,11 @@ Exit codes: 0 all requested checks passed, 1 a theorem check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import catalog
@@ -212,24 +212,14 @@ def _verify_dir(args) -> int:
     if not entries:
         raise LoopforgeError(f"{base}: no catalog entries found")
     jobs = [(str(path), args.search_cap, args.theorem) for _, path in entries]
-    # The pool starts all its workers up front, so it gets no more than
-    # there are entries or CPUs this process may run on.  Each worker takes
-    # about four chunks of entries, not one round trip per entry.
-    workers = min(args.jobs, len(jobs), catalog.available_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(jobs) // (4 * workers))
-            outcomes = list(pool.map(_worker, jobs, chunksize=chunk))
-    else:
-        outcomes = [_worker(job) for job in jobs]
-
     rows = []
     counts = {"ok": 0, "fail": 0, "skip": 0, "error": 0}
-    for (entry_id, _), (status, text, summary) in zip(entries, outcomes):
-        if text is not None:
-            (base / f"{entry_id}.report.json").write_text(text, encoding="ascii")
-        rows.append((entry_id, status, summary))
-        counts[status] += 1
+    with contextlib.closing(catalog.fan_out(_worker, jobs, args.jobs)) as outcomes:
+        for (entry_id, _), (status, text, summary) in zip(entries, outcomes):
+            if text is not None:
+                (base / f"{entry_id}.report.json").write_text(text, encoding="ascii")
+            rows.append((entry_id, status, summary))
+            counts[status] += 1
 
     if args.json:
         _emit(

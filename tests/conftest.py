@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from pathlib import Path
 
@@ -53,3 +54,23 @@ def package_env():
     """Environment for a child interpreter that imports this loopforge."""
     src = Path(loopforge.__file__).resolve().parent.parent
     return {**os.environ, "PYTHONPATH": str(src)}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stands in for the process pool, so fan_out's tasks run in this
+    process; the list returned gets each pool's max_workers."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes

@@ -1,4 +1,3 @@
-import concurrent.futures
 import multiprocessing
 import subprocess
 import sys
@@ -159,27 +158,11 @@ class TestGeneration:
         stream.close()
         assert multiprocessing.active_children() == []
 
-    def test_only_the_unbounded_order_6_run_builds_a_pool(self, monkeypatch):
-        # Stands in for the process pool, running each subtree at submit.
-        built = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def submit(self, fn, task):
-                future = concurrent.futures.Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_only_the_unbounded_order_6_run_builds_a_pool(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(catalog, "available_cpus", lambda: 64)
         assert sum(1 for _ in generate_loops(6, limit=500)) == 500
         assert sum(1 for _ in generate_loops(5)) == 56
-        assert built == []
+        assert pool_sizes == []
         # Forking while another thread runs can deadlock the child.
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
@@ -190,13 +173,13 @@ class TestGeneration:
             stop.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        assert built == []
+        assert pool_sizes == []
         assert sum(1 for _ in generate_loops(6, allow_order_six=True)) == 9408
-        assert built == [53]
+        assert pool_sizes == [53]
 
     def test_import_starts_no_process_machinery(self):
         code = (
-            "import sys, loopforge; "
+            "import sys, loopforge, loopforge.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
         )

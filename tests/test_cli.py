@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -16,7 +17,7 @@ from loopforge import (
     write_catalog,
     write_table,
 )
-from loopforge import catalog, cli, sbs
+from loopforge import catalog, sbs
 from loopforge.cli import REPORT_FORMAT, main
 
 
@@ -286,37 +287,42 @@ class TestVerifyDir:
         )
         assert list(tmp_path.rglob("*.report.json")) == []
 
-    def test_pool_size_is_capped_by_entries(self, catalog_dir, monkeypatch, capsys):
-        # Stands in for the process pool, so no worker is started.
-        recorded = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                recorded.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size_is_capped_by_entries(self, catalog_dir, pool_sizes, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["verify", "--json", str(catalog_dir)]) == 0
         serial = capsys.readouterr().out
         assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
         assert capsys.readouterr().out == serial
-        assert all(1 < k <= 4 for k in recorded)
+        assert all(1 < k <= 4 for k in pool_sizes)
         # and by the CPUs the process may run on
-        recorded.clear()
+        pool_sizes.clear()
         for cpus in (1, 3):
             monkeypatch.setattr(catalog, "available_cpus", lambda: cpus)
             assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
             assert capsys.readouterr().out == serial
-        assert recorded == [3]
+        assert pool_sizes == [3]
+
+    def test_no_pool_while_another_thread_runs(self, catalog_dir, pool_sizes, monkeypatch, capsys):
+        monkeypatch.setattr(catalog, "available_cpus", lambda: 2)
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir)]) == 0
+        serial = capsys.readouterr().out
+        assert main(["verify", "--json", str(catalog_dir), "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert pool_sizes == [2]
+        # Forking while another thread runs can deadlock the child.
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            code = main(["verify", "--json", str(catalog_dir), "--jobs", "2"])
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert code == 0
+        assert capsys.readouterr().out == serial
+        assert pool_sizes == [2]
 
     def test_invariant_violation_outside_a_check_is_an_error(
         self, catalog_dir, monkeypatch, capsys
