@@ -10,6 +10,7 @@ witness pair is (a.u.images[e], a.v.images[e]).
 
 from .catalog import (
     CatalogEntry,
+    canonical_form,
     content_id,
     cyclic_loop,
     generate_loops,

@@ -78,6 +78,67 @@ def normalize(L: LoopTable) -> tuple[LoopTable, Perm]:
     return validate_table(raw), relabel
 
 
+def _cycles(row: tuple, start: int) -> list[list[int]]:
+    """The cycles of the permutation row, the one through start first and
+    read from start, then the others in order of their least element."""
+    seen = [False] * len(row)
+    cycles = []
+    for x in (start, *range(len(row))):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = row[x]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def canonical_form(L: LoopTable) -> tuple[LoopTable, Perm]:
+    """(M, phi) with M = phi(L) and phi(L.e) = 0, where M is the same table
+    for every loop isomorphic to L.
+
+    Row phi(x) of phi(L) is phi L_x phi^-1, which keeps the marked cycle
+    type of the left translation L_x: its cycle lengths, with the length of
+    the cycle through the identity marked.  Each non-identity row has a
+    type, and the type chosen is the one whose marked cycle is longest, then
+    whose other lengths are least; the longer that cycle, the fewer the
+    relabellings below.  For each row L_x of that type, take every phi that
+    carries L_x onto the type's normal form: the marked cycle laid out from
+    the identity as 0, 1, ..., then the other cycles, shortest first, each
+    on consecutive labels.  Cycles of equal length are matched in every
+    order, each from every starting point.  An isomorphism psi carries the
+    rows of the chosen type onto each other, so it turns this set of phi
+    for L into the set for psi(L), phi into phi psi^-1, and both give the
+    same tables; M is the lex-least of them.  M is built from phi, so it is
+    always isomorphic to L.
+    """
+    n, e, t = L.n, L.e, L.table
+    if n == 1:
+        return L, Perm((0,))
+    rows = {}  # marked cycle type -> the cycles of each row of that type
+    for x in range(n):
+        if x != e:
+            cycles = _cycles(t[x], e)
+            marked_type = (-len(cycles[0]), tuple(sorted(map(len, cycles[1:]))))
+            rows.setdefault(marked_type, []).append(cycles)
+    best = None
+    for cycles in rows[min(rows)]:
+        rest = sorted(cycles[1:], key=len)
+        groups = [list(g) for _, g in itertools.groupby(rest, key=len)]
+        for order in itertools.product(*map(itertools.permutations, groups)):
+            laid = [c for group in order for c in group]
+            for starts in itertools.product(*(range(len(c)) for c in laid)):
+                inv = cycles[0] + [x for c, s in zip(laid, starts) for x in c[s:] + c[:s]]
+                phi = [0] * n
+                for label, x in enumerate(inv):
+                    phi[x] = label
+                M = tuple(tuple([phi[row[x]] for x in inv]) for row in map(t.__getitem__, inv))
+                if best is None or M < best[0]:
+                    best = M, phi
+    return LoopTable(best[0], 0), Perm(best[1])
+
+
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the machine's count."""
     try:
@@ -189,7 +250,14 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
                 square[r] = row
                 yield from fill(r + 1, used | code, _fnv_fold(h, text))
 
-    yield from fill(2, taken, state)
+    if last == 2:
+        yield from fill(2, taken, state)
+        return
+    # Rows 0 and 1 are all that row 2 could clash with, so its options need
+    # no test; the rows below it are tested against the rows above them.
+    for code, row, text in options[2]:
+        square[2] = row
+        yield from fill(3, taken | code, _fnv_fold(state, text))
 
 
 def _subtree(task: tuple) -> tuple[list, list]:

@@ -18,7 +18,8 @@ from . import catalog
 from .errors import LoopforgeError, NotSLoop, ParseError, SearchCapExceeded
 from .isotopy import DEFAULT_SEARCH_CAP, _check_cap, principal_isotope
 from .loop_core import LoopTable, s_subgroups, subgroup_violation
-from .sbs import CHECK_KEYS, verify_theorems
+from .perm import inverse
+from .sbs import CHECK_KEYS, LoopVerification, verify_theorems
 
 SIZES = (
     "|BS|={bs} |SBS|={sbs} |SSYM|={ssym} |AUM|={aum} |SA|={sa} |AUT|={aut}"
@@ -91,6 +92,56 @@ def _failed(rows: list[tuple]) -> bool:
     return any(res["status"] == "fail" for _, _, res in rows)
 
 
+def _cache_path(entry_id: str) -> Path | None:
+    """Where the report cache keeps entry_id's document, or None without a cache."""
+    cache = catalog.report_cache_dir()
+    return cache / f"{entry_id}.report.json" if cache else None
+
+
+def _cached(cache_path: Path | None) -> dict | None:
+    """The report document a cache entry holds, or None for a miss.
+
+    An entry that is not an ASCII JSON object with exactly CACHE_KEYS and
+    this REPORT_FORMAT stamp is a miss, so it is recomputed and rewritten.
+    """
+    if cache_path is None:
+        return None
+    try:
+        doc = json.loads(cache_path.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+    usable = isinstance(doc, dict) and list(doc) == CACHE_KEYS
+    return doc if usable and doc.pop("format") == REPORT_FORMAT else None
+
+
+def _store(cache_path: Path | None, doc: dict) -> None:
+    """Write a path-free report document to its cache entry, stamped with
+    REPORT_FORMAT; without a cache, do nothing."""
+    if cache_path is not None:
+        _write_atomic(cache_path, json.dumps({"format": REPORT_FORMAT, **doc}, indent=2) + "\n")
+
+
+def _document(entry_id: str, ver: LoopVerification, relabel) -> dict:
+    """The path-free report document of ver, for a loop with content id
+    entry_id that relabel (element images) carries ver's loop onto.
+
+    Every report field but the subgroup is the same for isomorphic loops,
+    so only the subgroups are relabelled, and the reports follow them back
+    into s_subgroups order: by size, then by elements.
+    """
+    relabelled = sorted(
+        ((sorted(relabel[x] for x in rep.subgroup), rep.to_json_dict()) for rep in ver.reports),
+        key=lambda pair: (len(pair[0]), pair[0]),
+    )
+    return {
+        "id": entry_id,
+        "order": ver.aggregate.order,
+        "subgroups": [h for h, _ in relabelled],
+        "reports": [rep for _, rep in relabelled],
+        "aggregate": ver.aggregate.to_json_dict(),
+    }
+
+
 def _verify_file(
     path: str, cap: int, theorem: str = "all", subgroup: str | None = None
 ) -> tuple[dict, list[tuple]]:
@@ -98,9 +149,7 @@ def _verify_file(
     the rows _select picks from it.
 
     The document comes from verify_theorems or from the report cache, which
-    stores it path-free, keyed by content id and stamped with REPORT_FORMAT;
-    an entry that is not an ASCII JSON object with exactly CACHE_KEYS and
-    this stamp is a miss, so it is recomputed and rewritten.
+    stores it path-free, keyed by content id and stamped with REPORT_FORMAT.
     "file" always names the path being verified.  A table error wins over a
     malformed --subgroup, which wins over the search cap; the cap is enforced
     before the cache is read, so a cached report never lifts it.
@@ -108,28 +157,12 @@ def _verify_file(
     L = catalog.read_table(path)
     wanted = _parse_subgroup(subgroup) if subgroup else None
     _check_cap(L.n, cap)
-    cache = catalog.report_cache_dir()
-    cache_path = cache / f"{catalog.content_id(L)}.report.json" if cache else None
-    doc = None
-    if cache_path is not None:
-        try:
-            doc = json.loads(cache_path.read_text(encoding="ascii"))
-        except (OSError, ValueError):
-            pass
-        usable = isinstance(doc, dict) and list(doc) == CACHE_KEYS
-        doc = doc if usable and doc.pop("format") == REPORT_FORMAT else None
+    entry_id = catalog.content_id(L)
+    cache_path = _cache_path(entry_id)
+    doc = _cached(cache_path)
     if doc is None:
-        ver = verify_theorems(L, cap=cap)
-        doc = {
-            "id": catalog.content_id(L),
-            "order": L.n,
-            "subgroups": [list(rep.subgroup) for rep in ver.reports],
-            "reports": [rep.to_json_dict() for rep in ver.reports],
-            "aggregate": ver.aggregate.to_json_dict(),
-        }
-        if cache_path is not None:
-            stamped = {"format": REPORT_FORMAT, **doc}
-            _write_atomic(cache_path, json.dumps(stamped, indent=2) + "\n")
+        doc = _document(entry_id, verify_theorems(L, cap=cap), range(L.n))
+        _store(cache_path, doc)
     doc = {"file": str(path), **doc}
     return doc, _select(L, doc, theorem, wanted)
 
@@ -190,36 +223,113 @@ def cmd_isotope(args) -> int:
     return 0
 
 
-def _worker(job: tuple) -> tuple:
-    """(status, report text or None, summary) for one catalog entry.  An
-    unreadable entry is an error row, so the other entries still run."""
-    path, cap, theorem = job
-    try:
-        doc, rows = _verify_file(path, cap, theorem)
-    except NotSLoop as exc:
-        return ("skip", None, str(exc))
-    except (LoopforgeError, OSError) as exc:
-        return ("error", None, str(exc))
+def _outcome(doc: dict, rows: list[tuple]) -> tuple:
+    """(status, report text, summary) of one verified catalog entry."""
     statuses = [res["status"] for _, _, res in rows]
     na = statuses.count("n/a")
     summary = f"{statuses.count('pass')}/{len(statuses)} passed" + (f" ({na} n/a)" if na else "")
     return ("fail" if _failed(rows) else "ok", json.dumps(doc, indent=2) + "\n", summary)
 
 
+def _worker(job: tuple) -> tuple:
+    """(status, report text or None, summary) for one catalog entry.  An
+    unreadable entry is an error row, so the other entries still run."""
+    path, cap, theorem = job
+    try:
+        return _outcome(*_verify_file(path, cap, theorem))
+    except NotSLoop as exc:
+        return ("skip", None, str(exc))
+    except (LoopforgeError, OSError) as exc:
+        return ("error", None, str(exc))
+
+
+def _verify_class(task: tuple) -> list[tuple]:
+    """(status, report text or None, summary) for each member of one
+    isomorphism class, in member order, with each member's cache entry
+    written.
+
+    task is (M's table, cap, theorem, members), with M a canonical_form
+    table and each member (path, content id, the images of the relabelling
+    that carries M onto the member).  M is verified once.  Its reports,
+    subgroups aside, hold for every member, so each member's document is
+    M's with the subgroups carried over and re-sorted.  A loop with no
+    proper subgroup is skipped with a message that names no element.  When
+    a check on M fails, or M raises another error, each member is verified
+    on its own through _verify_file, so a failing detail names the member's
+    own elements.
+    """
+    table, cap, theorem, members = task
+    M = LoopTable(table, 0)
+    try:
+        ver = verify_theorems(M, cap=cap)
+    except NotSLoop as exc:
+        return [("skip", None, str(exc))] * len(members)
+    except LoopforgeError:
+        ver = None
+    if ver is None or not ver.all_pass():
+        return [_worker((path, cap, theorem)) for path, _, _ in members]
+    results = []
+    for path, entry_id, relabel in members:
+        doc = _document(entry_id, ver, relabel)
+        try:
+            _store(_cache_path(entry_id), doc)
+        except OSError as exc:
+            results.append(("error", None, str(exc)))
+            continue
+        doc = {"file": path, **doc}
+        results.append(_outcome(doc, _select(M, doc, theorem, None)))
+    return results
+
+
 def _verify_dir(args) -> int:
+    """Verify every catalog entry, one loop per isomorphism class.
+
+    This process reads each entry and enforces the search cap, so a read or
+    cap failure is that entry's error row; a report cache hit is that
+    entry's outcome.  The other entries are grouped by their canonical_form
+    table, in order of first appearance, and fan_out runs _verify_class on
+    each group.  Reports are written as each class's results arrive; rows
+    are printed in index order.
+    """
     base = Path(args.target)
     entries = catalog.iter_catalog(base)
     if not entries:
         raise LoopforgeError(f"{base}: no catalog entries found")
-    jobs = [(str(path), args.search_cap, args.theorem) for _, path in entries]
-    rows = []
+    rows = [None] * len(entries)  # (status, summary) per entry
+    classes = {}  # canonical table -> [(entry index, (path, content id, relabel))]
+    for i, (entry_id, path) in enumerate(entries):
+        try:
+            L = catalog.read_table(path)
+            _check_cap(L.n, args.search_cap)
+            content = catalog.content_id(L)
+            doc = _cached(_cache_path(content))
+        except (LoopforgeError, OSError) as exc:
+            rows[i] = ("error", str(exc))
+            continue
+        if doc is not None:
+            doc = {"file": str(path), **doc}
+            status, text, summary = _outcome(doc, _select(L, doc, args.theorem, None))
+            (base / f"{entry_id}.report.json").write_text(text, encoding="ascii")
+            rows[i] = (status, summary)
+            continue
+        M, phi = catalog.canonical_form(L)
+        member = (str(path), content, inverse(phi).images)
+        classes.setdefault(M.table, []).append((i, member))
+
+    tasks = [
+        (table, args.search_cap, args.theorem, [member for _, member in members])
+        for table, members in classes.items()
+    ]
+    with contextlib.closing(catalog.fan_out(_verify_class, tasks, args.jobs)) as outcomes:
+        for members, results in zip(classes.values(), outcomes):
+            for (i, _), (status, text, summary) in zip(members, results):
+                if text is not None:
+                    (base / f"{entries[i][0]}.report.json").write_text(text, encoding="ascii")
+                rows[i] = (status, summary)
+    rows = [(entry_id, *row) for (entry_id, _), row in zip(entries, rows)]
     counts = {"ok": 0, "fail": 0, "skip": 0, "error": 0}
-    with contextlib.closing(catalog.fan_out(_worker, jobs, args.jobs)) as outcomes:
-        for (entry_id, _), (status, text, summary) in zip(entries, outcomes):
-            if text is not None:
-                (base / f"{entry_id}.report.json").write_text(text, encoding="ascii")
-            rows.append((entry_id, status, summary))
-            counts[status] += 1
+    for _, status, _ in rows:
+        counts[status] += 1
 
     if args.json:
         _emit(

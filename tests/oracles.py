@@ -214,3 +214,12 @@ def fnv64(data: bytes) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def relabel(L, images):
+    """The rows of L's table with every label x replaced by images[x]."""
+    raw = [[0] * L.n for _ in range(L.n)]
+    for x in range(L.n):
+        for y in range(L.n):
+            raw[images[x]][images[y]] = images[L.table[x][y]]
+    return raw

@@ -1,4 +1,5 @@
 import multiprocessing
+import random
 import subprocess
 import sys
 import threading
@@ -9,6 +10,7 @@ from loopforge import (
     CatalogEntry,
     OrderTooLarge,
     ParseError,
+    canonical_form,
     content_id,
     cyclic_loop,
     format_table,
@@ -25,8 +27,9 @@ from loopforge import (
 )
 from loopforge import catalog
 from loopforge.catalog import INDEX_NAME
+from loopforge.isotopy import law_holds
 
-from oracles import count_reduced_squares_colmajor, fnv64
+from oracles import count_reduced_squares_colmajor, fnv64, relabel
 
 
 class TestContentId:
@@ -70,6 +73,36 @@ class TestNormalize:
         for x in range(3):
             for y in range(3):
                 assert normalized.table[imgs[x]][imgs[y]] == imgs[t[x][y]]
+
+
+class TestCanonicalForm:
+    def test_one_form_per_isomorphism_class(self):
+        # McKay, Meynert and Myrvold, "Small Latin squares, quasigroups and
+        # loops" (2007): 1, 1, 2, 6 and 109 loops of orders 2..6 up to
+        # isomorphism.
+        counts = [
+            len({canonical_form(e.loop)[0] for e in generate_loops(n, allow_order_six=True)})
+            for n in range(2, 7)
+        ]
+        assert counts == [1, 1, 2, 6, 109]
+
+    def test_form_is_the_loop_relabelled(self, loop_3x3_shifted):
+        rng = random.Random(16)
+        loops = [loop_3x3_shifted, *(e.loop for e in generate_loops(5))]
+        loops += [validate_table(relabel(L, rng.sample(range(L.n), L.n))) for L in loops]
+        for L in loops:
+            M, phi = canonical_form(L)
+            assert M.e == 0 and phi(L.e) == 0
+            assert validate_table(M.table).e == 0
+            assert law_holds(L.table, M.table, phi.images, phi.images, phi.images)
+
+    def test_relabelled_loops_share_the_form(self):
+        rng = random.Random(2007)
+        loops = [validate_table([[0]])] + [e.loop for n in range(2, 6) for e in generate_loops(n)]
+        loops += rng.sample([e.loop for e in generate_loops(6, allow_order_six=True)], 200)
+        for L in loops:
+            psi = rng.sample(range(L.n), L.n)
+            assert canonical_form(validate_table(relabel(L, psi)))[0] == canonical_form(L)[0]
 
 
 class TestGeneration:

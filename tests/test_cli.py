@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import threading
@@ -8,17 +10,23 @@ import pytest
 
 from loopforge import (
     CHECK_KEYS,
+    DEFAULT_SEARCH_CAP,
     InvariantViolation,
+    canonical_form,
     content_id,
     cyclic_loop,
     format_table,
     generate_loops,
+    iter_catalog,
     n5_loop,
+    validate_table,
     write_catalog,
     write_table,
 )
-from loopforge import catalog, sbs
+from loopforge import catalog, cli, sbs
 from loopforge.cli import REPORT_FORMAT, main
+
+from oracles import relabel
 
 
 @pytest.fixture
@@ -287,18 +295,22 @@ class TestVerifyDir:
         )
         assert list(tmp_path.rglob("*.report.json")) == []
 
-    def test_pool_size_is_capped_by_entries(self, catalog_dir, pool_sizes, monkeypatch, capsys):
+    def test_pool_size_is_capped_by_classes(self, tmp_path, pool_sizes, monkeypatch, capsys):
+        # The pool gets one task per isomorphism class: cat5's 56 entries
+        # fall into 6 classes.
+        cat5 = tmp_path / "cat5"
+        write_catalog(generate_loops(5), cat5)
         capsys.readouterr()
-        assert main(["verify", "--json", str(catalog_dir)]) == 0
+        assert main(["verify", "--json", str(cat5)]) == 0
         serial = capsys.readouterr().out
-        assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
+        assert main(["verify", "--json", str(cat5), "--jobs", "64"]) == 0
         assert capsys.readouterr().out == serial
-        assert all(1 < k <= 4 for k in pool_sizes)
+        assert all(1 < k <= 6 for k in pool_sizes)
         # and by the CPUs the process may run on
         pool_sizes.clear()
         for cpus in (1, 3):
             monkeypatch.setattr(catalog, "available_cpus", lambda: cpus)
-            assert main(["verify", "--json", str(catalog_dir), "--jobs", "64"]) == 0
+            assert main(["verify", "--json", str(cat5), "--jobs", "64"]) == 0
             assert capsys.readouterr().out == serial
         assert pool_sizes == [3]
 
@@ -336,6 +348,109 @@ class TestVerifyDir:
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
         assert "identity missing" in doc["entries"][0]["summary"]
+
+
+def _per_file(target) -> tuple[list, dict]:
+    """The verify DIR --json rows and the report texts that verifying each
+    entry of target on its own gives."""
+    rows, texts = [], {}
+    for entry_id, path in iter_catalog(target):
+        status, text, summary = cli._worker((str(path), DEFAULT_SEARCH_CAP, "all"))
+        rows.append({"id": entry_id, "status": status, "summary": summary})
+        if text is not None:
+            texts[f"{entry_id}.report.json"] = text
+    return rows, texts
+
+
+def _run_verify_dir(target, capsys, *flags) -> tuple[list, dict]:
+    for old in target.glob("*.report.json"):
+        old.unlink()
+    capsys.readouterr()
+    main(["verify", "--json", str(target), *flags])
+    rows = json.loads(capsys.readouterr().out)["entries"]
+    return rows, {p.name: p.read_text(encoding="ascii") for p in target.glob("*.report.json")}
+
+
+def _off_identity(rng, n) -> list:
+    """A random relabelling of 0..n-1 that moves 0."""
+    images = rng.sample(range(n), n)
+    return images[1:] + images[:1] if images[0] == 0 else images
+
+
+class TestVerifyByClass:
+    """verify DIR verifies one loop per isomorphism class and carries the
+    reports over to every member; rows and reports must be those that
+    verifying each file on its own gives."""
+
+    @pytest.fixture(autouse=True)
+    def no_cache(self, monkeypatch):
+        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """The loops verify_theorems is called on, in order."""
+        loops = []
+        real = cli.verify_theorems
+
+        def recording(L, cap):
+            loops.append(L)
+            return real(L, cap=cap)
+
+        monkeypatch.setattr(cli, "verify_theorems", recording)
+        return loops
+
+    def test_cat5_is_verified_once_per_class(self, tmp_path, verified, capsys):
+        cat5 = tmp_path / "cat5"
+        write_catalog(generate_loops(5), cat5)
+        expected = _per_file(cat5)
+        verified.clear()
+        for jobs in ("1", "2"):
+            assert _run_verify_dir(cat5, capsys, "--jobs", jobs) == expected
+        assert len(verified) == 6  # the in-process run: one per class
+
+    def test_relabelled_cat5_matches_per_file_verification(self, tmp_path, capsys):
+        # Every identity is moved off 0 and there is no index, so the
+        # entries are listed from their *.loop names.
+        rng = random.Random(5)
+        target = tmp_path / "relabelled"
+        target.mkdir()
+        for entry in generate_loops(5):
+            L = validate_table(relabel(entry.loop, _off_identity(rng, 5)))
+            write_table(L, target / f"{content_id(L)}.loop")
+        assert not (target / "index.tsv").exists()
+        rows, texts = _run_verify_dir(target, capsys)
+        assert (rows, texts) == _per_file(target)
+        assert {row["status"] for row in rows} == {"ok", "skip"}
+
+    def test_a_failing_class_verifies_each_member_on_its_own(
+        self, tmp_path, verified, monkeypatch, capsys
+    ):
+        rng = random.Random(23)
+        target = tmp_path / "n5"
+        target.mkdir()
+        members = [validate_table(relabel(n5_loop(), _off_identity(rng, 5))) for _ in range(3)]
+        for L in members:
+            write_table(L, target / f"{content_id(L)}.loop")
+        members.sort(key=content_id)
+        M = canonical_form(members[0])[0]
+        assert M not in members
+        expected = _per_file(target)
+        recording = cli.verify_theorems
+
+        def planted(L, cap):
+            # t10 fails, naming the subgroup, on the class's table only.
+            ver = recording(L, cap)
+            if L != M:
+                return ver
+            rep = ver.reports[0]
+            checks = {**rep.checks, "t10": sbs.CheckResult("fail", f"planted at {rep.subgroup}")}
+            return dataclasses.replace(ver, reports=(dataclasses.replace(rep, checks=checks),))
+
+        monkeypatch.setattr(cli, "verify_theorems", planted)
+        verified.clear()
+        assert _run_verify_dir(target, capsys) == expected
+        assert verified == [M, *members]
+        assert all(row["status"] == "ok" for row in expected[0])
 
 
 class TestGenerate:
@@ -548,6 +663,19 @@ class TestReportCache:
         doc = json.loads(warm)
         assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
         assert "exceeds the search cap 3" in doc["entries"][0]["summary"]
+
+    def test_unwritable_cache_entries_are_errors(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "cat4"
+        assert main(["generate", "4", str(target)]) == 0
+        cache = tmp_path / "cache"
+        for path in target.glob("*.loop"):
+            (cache / f"{path.stem}.report.json").mkdir(parents=True)
+        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
+        capsys.readouterr()
+        assert main(["verify", "--json", str(target)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
+        assert all("Is a directory" in row["summary"] for row in doc["entries"])
 
     def test_no_cache_env_means_no_cache_files(self, z4_file, tmp_path, monkeypatch):
         monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)

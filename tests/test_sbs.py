@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     brute_special_witnesses,
     brute_ssym,
     group_axiom_violation,
+    relabel,
 )
 
 
@@ -432,6 +434,34 @@ class TestVerifyTheorems:
         ver = verify_theorems(klein)
         assert ver.all_pass()
         assert [rep.subgroup for rep in ver.reports] == [(0, 1), (0, 2), (0, 3)]
+
+    def test_relabelling_changes_only_the_subgroups(self):
+        # So verify DIR may verify one loop per isomorphism class: relabelling
+        # a loop by psi relabels each report's subgroup H as psi(H), and
+        # leaves every other field, and the aggregate, as it was.
+        rng = random.Random(1980)
+        loops = [e.loop for n in (4, 5) for e in generate_loops(n)]
+        loops += rng.sample([e.loop for e in generate_loops(6, allow_order_six=True)], 140)
+        moved = verified = 0
+        for L in loops:
+            psi = rng.sample(range(L.n), L.n)
+            moved += psi[0] != 0
+            K = validate_table(relabel(L, psi))
+            try:
+                ver = verify_theorems(L)
+            except NotSLoop:
+                with pytest.raises(NotSLoop):
+                    verify_theorems(K)
+                continue
+            other = verify_theorems(K)
+            by_subgroup = {rep.subgroup: rep for rep in other.reports}
+            assert len(by_subgroup) == len(ver.reports)
+            for rep in ver.reports:
+                image = tuple(sorted(psi[x] for x in rep.subgroup))
+                assert replace(by_subgroup[image], subgroup=rep.subgroup) == rep
+            assert other.aggregate == ver.aggregate
+            verified += 1
+        assert 0 < moved < len(loops) and verified > 100
 
 
 def _group_table(elements, product):
