@@ -424,15 +424,3 @@ def n5_loop() -> LoopTable:
         ]
     )
 
-
-CACHE_ENV_VAR = "LOOPFORGE_CACHE"
-
-
-def report_cache_dir() -> Path | None:
-    """Directory named by LOOPFORGE_CACHE, created on demand, or None."""
-    value = os.environ.get(CACHE_ENV_VAR)
-    if not value:
-        return None
-    path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
-    return path

@@ -11,7 +11,6 @@ import contextlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import catalog
@@ -27,14 +26,6 @@ SIZES = (
 )
 
 
-# Version of the report document the cache stores.  Bump it whenever the
-# document's keys or text change, so that caches written by another version
-# miss; tests/test_cli.py pins Z4's document hash to this value.
-REPORT_FORMAT = 2
-# Top-level keys of a cache entry, in the order _verify_file writes them.
-CACHE_KEYS = ["format", "id", "order", "subgroups", "reports", "aggregate"]
-
-
 def _parse_subgroup(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -44,19 +35,6 @@ def _parse_subgroup(text: str) -> list[int]:
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file and os.replace, so that concurrent
-    writers of the same path never leave a torn file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _select(L: LoopTable, doc: dict, theorem: str, subgroup: list[int] | None) -> list[tuple]:
@@ -92,35 +70,6 @@ def _failed(rows: list[tuple]) -> bool:
     return any(res["status"] == "fail" for _, _, res in rows)
 
 
-def _cache_path(entry_id: str) -> Path | None:
-    """Where the report cache keeps entry_id's document, or None without a cache."""
-    cache = catalog.report_cache_dir()
-    return cache / f"{entry_id}.report.json" if cache else None
-
-
-def _cached(cache_path: Path | None) -> dict | None:
-    """The report document a cache entry holds, or None for a miss.
-
-    An entry that is not an ASCII JSON object with exactly CACHE_KEYS and
-    this REPORT_FORMAT stamp is a miss, so it is recomputed and rewritten.
-    """
-    if cache_path is None:
-        return None
-    try:
-        doc = json.loads(cache_path.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return None
-    usable = isinstance(doc, dict) and list(doc) == CACHE_KEYS
-    return doc if usable and doc.pop("format") == REPORT_FORMAT else None
-
-
-def _store(cache_path: Path | None, doc: dict) -> None:
-    """Write a path-free report document to its cache entry, stamped with
-    REPORT_FORMAT; without a cache, do nothing."""
-    if cache_path is not None:
-        _write_atomic(cache_path, json.dumps({"format": REPORT_FORMAT, **doc}, indent=2) + "\n")
-
-
 def _document(entry_id: str, ver: LoopVerification, relabel) -> dict:
     """The path-free report document of ver, for a loop with content id
     entry_id that relabel (element images) carries ver's loop onto.
@@ -148,22 +97,14 @@ def _verify_file(
     """One table file's report document, as <id>.report.json holds it, and
     the rows _select picks from it.
 
-    The document comes from verify_theorems or from the report cache, which
-    stores it path-free, keyed by content id and stamped with REPORT_FORMAT.
-    "file" always names the path being verified.  A table error wins over a
-    malformed --subgroup, which wins over the search cap; the cap is enforced
-    before the cache is read, so a cached report never lifts it.
+    "file" names the path being verified.  A table error wins over a
+    malformed --subgroup, which wins over the search cap.
     """
     L = catalog.read_table(path)
     wanted = _parse_subgroup(subgroup) if subgroup else None
     _check_cap(L.n, cap)
-    entry_id = catalog.content_id(L)
-    cache_path = _cache_path(entry_id)
-    doc = _cached(cache_path)
-    if doc is None:
-        doc = _document(entry_id, verify_theorems(L, cap=cap), range(L.n))
-        _store(cache_path, doc)
-    doc = {"file": str(path), **doc}
+    ver = verify_theorems(L, cap=cap)
+    doc = {"file": str(path), **_document(catalog.content_id(L), ver, range(L.n))}
     return doc, _select(L, doc, theorem, wanted)
 
 
@@ -245,8 +186,7 @@ def _worker(job: tuple) -> tuple:
 
 def _verify_class(task: tuple) -> list[tuple]:
     """(status, report text or None, summary) for each member of one
-    isomorphism class, in member order, with each member's cache entry
-    written.
+    isomorphism class, in member order.
 
     task is (M's table, cap, theorem, members), with M a canonical_form
     table and each member (path, content id, the images of the relabelling
@@ -270,13 +210,7 @@ def _verify_class(task: tuple) -> list[tuple]:
         return [_worker((path, cap, theorem)) for path, _, _ in members]
     results = []
     for path, entry_id, relabel in members:
-        doc = _document(entry_id, ver, relabel)
-        try:
-            _store(_cache_path(entry_id), doc)
-        except OSError as exc:
-            results.append(("error", None, str(exc)))
-            continue
-        doc = {"file": path, **doc}
+        doc = {"file": path, **_document(entry_id, ver, relabel)}
         results.append(_outcome(doc, _select(M, doc, theorem, None)))
     return results
 
@@ -285,11 +219,10 @@ def _verify_dir(args) -> int:
     """Verify every catalog entry, one loop per isomorphism class.
 
     This process reads each entry and enforces the search cap, so a read or
-    cap failure is that entry's error row; a report cache hit is that
-    entry's outcome.  The other entries are grouped by their canonical_form
-    table, in order of first appearance, and fan_out runs _verify_class on
-    each group.  Reports are written as each class's results arrive; rows
-    are printed in index order.
+    cap failure is that entry's error row.  The other entries are grouped by
+    their canonical_form table, in order of first appearance, and fan_out
+    runs _verify_class on each group.  Reports are written as each class's
+    results arrive; rows are printed in index order.
     """
     base = Path(args.target)
     entries = catalog.iter_catalog(base)
@@ -301,19 +234,11 @@ def _verify_dir(args) -> int:
         try:
             L = catalog.read_table(path)
             _check_cap(L.n, args.search_cap)
-            content = catalog.content_id(L)
-            doc = _cached(_cache_path(content))
         except (LoopforgeError, OSError) as exc:
             rows[i] = ("error", str(exc))
             continue
-        if doc is not None:
-            doc = {"file": str(path), **doc}
-            status, text, summary = _outcome(doc, _select(L, doc, args.theorem, None))
-            (base / f"{entry_id}.report.json").write_text(text, encoding="ascii")
-            rows[i] = (status, summary)
-            continue
         M, phi = catalog.canonical_form(L)
-        member = (str(path), content, inverse(phi).images)
+        member = (str(path), catalog.content_id(L), inverse(phi).images)
         classes.setdefault(M.table, []).append((i, member))
 
     tasks = [

@@ -24,7 +24,7 @@ from loopforge import (
     write_table,
 )
 from loopforge import catalog, cli, sbs
-from loopforge.cli import REPORT_FORMAT, main
+from loopforge.cli import main
 
 from oracles import relabel
 
@@ -130,6 +130,14 @@ class TestAnalyze:
     def test_loop_without_s_subgroup(self, z5_file, capsys):
         assert main(["analyze", z5_file]) == 2
         assert "no proper non-trivial subgroup" in capsys.readouterr().err
+
+    def test_pins_the_z4_document(self, z4_file, capsys):
+        # A change to the report text must be deliberate: re-pin the digest.
+        assert main(["analyze", "--json", z4_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("file") == z4_file
+        digest = hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
+        assert digest == "bd0beb27447458f373777b67b3e5ba390026ec8ec87bbe4f4db477d47dd6a2c9"
 
 
 class TestIsotope:
@@ -248,6 +256,28 @@ class TestVerifyDir:
         empty.mkdir()
         assert main(["verify", str(empty)]) == 2
         assert "no catalog entries" in capsys.readouterr().err
+
+    def test_search_cap(self, catalog_dir, capsys):
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir), "--search-cap", "3"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
+        assert all("exceeds the search cap 3" in row["summary"] for row in doc["entries"])
+        assert not list(catalog_dir.glob("*.report.json"))
+
+    def test_pins_every_cat5_report(self, tmp_path, capsys):
+        # The same rule over every order-5 loop with a subgroup: hash the
+        # report documents, less the path in "file", in id order.
+        cat5 = tmp_path / "cat5"
+        write_catalog(generate_loops(5), cat5)
+        assert main(["verify", str(cat5)]) == 0
+        reports = sorted(cat5.glob("*.report.json"))
+        docs = [json.loads(p.read_text(encoding="ascii")) for p in reports]
+        assert len(docs) == 26
+        paths = [doc.pop("file") for doc in docs]
+        assert paths == [str(cat5 / f"{doc['id']}.loop") for doc in docs]
+        digest = hashlib.sha256(json.dumps(docs, indent=2).encode("ascii")).hexdigest()
+        assert digest == "bd888b8d73873b87a685643d76ebbe036f78a8f6cb4a1bbe5b1c6404c659065f"
 
     def test_bad_jobs_value(self, catalog_dir, capsys):
         assert main(["verify", str(catalog_dir), "--jobs", "0"]) == 2
@@ -382,10 +412,6 @@ class TestVerifyByClass:
     reports over to every member; rows and reports must be those that
     verifying each file on its own gives."""
 
-    @pytest.fixture(autouse=True)
-    def no_cache(self, monkeypatch):
-        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
-
     @pytest.fixture
     def verified(self, monkeypatch):
         """The loops verify_theorems is called on, in order."""
@@ -488,199 +514,6 @@ class TestGenerate:
         # the 6 associative order-5 tables have no proper subgroup, so the
         # two filters intersect in all 26 subgroup-bearing loops
         assert count == 26
-
-
-class TestReportCache:
-    @pytest.mark.parametrize(
-        "command, poisoned",
-        [("verify", "H={0,2} t10 fail:"), ("analyze", "  t10    fail ")],
-        ids=["verify", "analyze"],
-    )
-    def test_cache_round_trip(self, command, poisoned, z4_file, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        capsys.readouterr()
-        assert main([command, z4_file]) == 0
-        cold = capsys.readouterr()
-        cached = list(cache.glob("*.report.json"))
-        assert len(cached) == 1
-        assert cached[0].name == "d29ea407de45234b.report.json"
-        assert main([command, z4_file]) == 0
-        assert capsys.readouterr() == cold
-
-        # a cache hit must drive the outcome: poison one status and re-run
-        doc = json.loads(cached[0].read_text(encoding="ascii"))
-        doc["reports"][0]["checks"]["t10"]["status"] = "fail"
-        cached[0].write_text(json.dumps(doc), encoding="ascii")
-        assert main([command, z4_file]) == 1
-        assert poisoned in capsys.readouterr().out
-
-    @pytest.mark.parametrize("stamp", [None, REPORT_FORMAT - 1], ids=["unstamped", "older"])
-    def test_other_report_formats_miss(self, stamp, z4_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
-        capsys.readouterr()
-        assert main(["verify", z4_file]) == 0
-        uncached = capsys.readouterr()
-
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        assert main(["verify", z4_file]) == 0
-        capsys.readouterr()
-        entry = cache / "d29ea407de45234b.report.json"
-        doc = json.loads(entry.read_text(encoding="ascii"))
-        assert doc.pop("format") == REPORT_FORMAT
-        if stamp is not None:
-            doc = {"format": stamp, **doc}
-        doc["reports"][0]["checks"]["t10"]["status"] = "fail"
-        entry.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
-
-        assert main(["verify", z4_file]) == 0
-        assert capsys.readouterr() == uncached
-        rewritten = json.loads(entry.read_text(encoding="ascii"))
-        assert rewritten["format"] == REPORT_FORMAT
-        assert rewritten["reports"][0]["checks"]["t10"]["status"] == "pass"
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            b"[]",
-            b'{"form',
-            b'{"format": 2}',
-            b"\xff\xfe",
-            b'{"format": 2, "id": "x", "order": 4, "subgroups": [], "reports": [],'
-            b' "aggregate": {}, "file": "elsewhere"}',
-        ],
-        ids=["list", "truncated", "stamp-only", "not-ascii", "extra-key"],
-    )
-    def test_unusable_entries_miss(self, entry, tmp_path, monkeypatch, capsys):
-        target = tmp_path / "cat4"
-        assert main(["generate", "4", str(target)]) == 0
-        one = str(sorted(target.glob("*.loop"))[0])
-        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
-        capsys.readouterr()
-        # The directory run goes last, so that it rewrites every entry.
-        runs = (["analyze", "--json", one], ["verify", "--json", str(target), "--jobs", "2"])
-        uncached = []
-        for argv in runs:
-            assert main(argv) == 0
-            uncached.append(capsys.readouterr())
-        def reports():
-            return {p.name: p.read_text(encoding="ascii") for p in target.glob("*.report.json")}
-
-        uncached_reports = reports()
-
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        assert main(runs[1]) == 0
-        capsys.readouterr()
-        for argv, expected in zip(runs, uncached):
-            for cached in cache.glob("*.report.json"):
-                cached.write_bytes(entry)
-            assert main(argv) == 0
-            assert capsys.readouterr() == expected
-        assert reports() == uncached_reports
-        for cached in cache.glob("*.report.json"):
-            assert json.loads(cached.read_text(encoding="ascii"))["format"] == REPORT_FORMAT
-
-    def test_report_format_pins_the_z4_document(self, z4_file, monkeypatch, capsys):
-        # A change to the report text must bump REPORT_FORMAT, so that caches
-        # written before the change miss; then re-pin both values together.
-        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
-        capsys.readouterr()
-        assert main(["analyze", "--json", z4_file]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc.pop("file") == z4_file
-        digest = hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
-        assert (REPORT_FORMAT, digest) == (
-            2, "bd0beb27447458f373777b67b3e5ba390026ec8ec87bbe4f4db477d47dd6a2c9"
-        )
-
-    def test_report_format_pins_every_cat5_cache_entry(self, tmp_path, monkeypatch, capsys):
-        # The same rule over every order-5 loop with a subgroup: hash the
-        # cache entries, format stamp included, in id order.
-        cat5 = tmp_path / "cat5"
-        write_catalog(generate_loops(5), cat5)
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        assert main(["verify", str(cat5)]) == 0
-        capsys.readouterr()
-        entries = sorted(cache.glob("*.report.json"))
-        assert len(entries) == 26
-        digest = hashlib.sha256(b"".join(p.read_bytes() for p in entries)).hexdigest()
-        assert (REPORT_FORMAT, digest) == (
-            2, "4688a4169ae7e4b2fb77c5bda360539ba5bf6d56ec5791922275a59531c14485"
-        )
-
-    def test_cached_report_names_the_verified_path(self, z4_file, tmp_path, monkeypatch):
-        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
-        entry_id = content_id(cyclic_loop(4))
-        fresh = tmp_path / "fresh"
-        fresh.mkdir()
-        write_table(cyclic_loop(4), fresh / f"{entry_id}.loop")
-        assert main(["verify", str(fresh)]) == 0
-        uncached = (fresh / f"{entry_id}.report.json").read_text(encoding="ascii")
-
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        assert main(["verify", z4_file]) == 0
-        cached = json.loads((cache / f"{entry_id}.report.json").read_text(encoding="ascii"))
-        assert "file" not in cached
-        assert not list(cache.glob("*.tmp"))
-
-        d1 = tmp_path / "d1"
-        d1.mkdir()
-        loop_path = d1 / f"{entry_id}.loop"
-        write_table(cyclic_loop(4), loop_path)
-        assert main(["verify", str(d1)]) == 0
-        text = (d1 / f"{entry_id}.report.json").read_text(encoding="ascii")
-        assert json.loads(text)["file"] == str(loop_path)
-        assert text == uncached.replace(str(fresh), str(d1))
-
-    def test_warm_cache_keeps_the_search_cap(self, z4_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(tmp_path / "cache"))
-        assert main(["verify", z4_file, "--search-cap", "3"]) == 2
-        cold = capsys.readouterr()
-        assert main(["verify", z4_file]) == 0
-        capsys.readouterr()
-        assert main(["verify", z4_file, "--search-cap", "3"]) == 2
-        warm = capsys.readouterr()
-        assert warm.out == cold.out == ""
-        assert warm.err == cold.err
-        assert "order 4 exceeds the search cap 3" in warm.err
-
-    def test_warm_cache_keeps_the_search_cap_for_dirs(self, tmp_path, monkeypatch, capsys):
-        target = tmp_path / "cat4"
-        assert main(["generate", "4", str(target)]) == 0
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(tmp_path / "cache"))
-        capsys.readouterr()
-        assert main(["verify", "--json", str(target), "--search-cap", "3"]) == 2
-        cold = capsys.readouterr().out
-        assert main(["verify", str(target)]) == 0
-        capsys.readouterr()
-        assert main(["verify", "--json", str(target), "--search-cap", "3"]) == 2
-        warm = capsys.readouterr().out
-        assert warm == cold
-        doc = json.loads(warm)
-        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
-        assert "exceeds the search cap 3" in doc["entries"][0]["summary"]
-
-    def test_unwritable_cache_entries_are_errors(self, tmp_path, monkeypatch, capsys):
-        target = tmp_path / "cat4"
-        assert main(["generate", "4", str(target)]) == 0
-        cache = tmp_path / "cache"
-        for path in target.glob("*.loop"):
-            (cache / f"{path.stem}.report.json").mkdir(parents=True)
-        monkeypatch.setenv("LOOPFORGE_CACHE", str(cache))
-        capsys.readouterr()
-        assert main(["verify", "--json", str(target)]) == 2
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
-        assert all("Is a directory" in row["summary"] for row in doc["entries"])
-
-    def test_no_cache_env_means_no_cache_files(self, z4_file, tmp_path, monkeypatch):
-        monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
-        assert main(["verify", z4_file]) == 0
-        assert not list(tmp_path.glob("cache/**/*.json"))
 
 
 def test_python_dash_m_runs_the_cli(z4_file, package_env):

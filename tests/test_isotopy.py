@@ -15,12 +15,14 @@ from loopforge import (
     autotopism_inverse,
     autotopism_product,
     automorphism_group,
+    bs_group,
     cyclic_loop,
     format_isotope_record,
     generate_loops,
     identity,
     identity_autotopism,
     isomorphisms,
+    middle_nucleus,
     parse_isotope_record,
     principal_isotope,
     s_isomorphisms,
@@ -210,6 +212,24 @@ class TestAutotopisms:
         for L in sample:
             found = [a.key() for a in autotopism_group(L)]
             assert found == brute_autotopisms_by_u(L)
+
+    def test_whole_loop_identities(self):
+        # Autotopisms with the same pair (U(e), V(e)) differ by an
+        # automorphism, so |AUT| = |AUM| * |P| over the pairs P; the kernel
+        # of AUT -> BS is the N_mu triples, so |AUT| = |BS| * |N_mu|.
+        loops = [entry.loop for n in (2, 3, 4, 5) for entry in generate_loops(n)]
+        picks = set(random.Random(6).sample(range(9408), 300))
+        loops += [
+            entry.loop
+            for i, entry in enumerate(generate_loops(6, allow_order_six=True))
+            if i in picks
+        ]
+        assert len(loops) == 362
+        for L in loops:
+            aut = autotopism_group(L)
+            pairs = {(a.u.images[L.e], a.v.images[L.e]) for a in aut}
+            assert len(aut) == len(automorphism_group(L)) * len(pairs), L
+            assert len(aut) == len(bs_group(L)) * len(middle_nucleus(L)), L
 
     def test_sizes_for_abelian_groups(self, z4, klein):
         # for an abelian group: |AUT| = n^2 * |AUM|
