@@ -17,7 +17,6 @@ from .catalog import (
     iter_catalog,
     klein_four,
     n5_loop,
-    normalize,
     read_table,
     write_catalog,
     write_table,
@@ -50,7 +49,6 @@ from .isotopy import (
     principal_isotope,
     s_isomorphisms,
     smarandache_principal_isotope,
-    transport_autotopisms,
 )
 from .loop_core import (
     LoopTable,

@@ -60,24 +60,6 @@ class CatalogEntry:
             raise InvariantViolation("catalog entries must be normalized")
 
 
-def normalize(L: LoopTable) -> tuple[LoopTable, Perm]:
-    """Relabel so the identity is 0; returns the loop and the relabeling.
-
-    Swapping the identity with 0 is enough: any relabeling that fixes the
-    identity to 0 makes the first row and column natural.
-    """
-    if L.e == 0:
-        return L, Perm(range(L.n))
-    imgs = list(range(L.n))
-    imgs[0], imgs[L.e] = imgs[L.e], imgs[0]
-    relabel = Perm(imgs)
-    raw = [[0] * L.n for _ in range(L.n)]
-    for x in range(L.n):
-        for y in range(L.n):
-            raw[imgs[x]][imgs[y]] = imgs[L.table[x][y]]
-    return validate_table(raw), relabel
-
-
 def _cycles(row: tuple, start: int) -> list[list[int]]:
     """The cycles of the permutation row, the one through start first and
     read from start, then the others in order of their least element."""
@@ -260,20 +242,18 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
         yield from fill(3, taken | code, _fnv_fold(state, text))
 
 
-def _subtree(task: tuple) -> tuple[list, list]:
+def _subtree(task: tuple) -> list[tuple]:
     """One row-1 subtree, (n, row1, nonassociative, require_s_subgroup),
-    filtered, in the compact form that _entries reads back.
+    filtered: a (table, associative, S-subgroup count, FNV-1a state) record
+    per kept square, in stream order.
 
     Each square is a LoopTable built directly, without validate_table:
     _reduced_squares proves that it yields reduced Latin squares, so the
-    identity is 0.  Top level, so a process pool can run it.  Returns the
-    subtree's distinct rows and, per kept square in stream order, a record
-    (indices of its rows in that list as bytes, associative, S-subgroup
-    count, FNV-1a state).  A subtree of order 6 has at most 84 distinct
-    rows; bytes() raises on an index past 255 rather than wrapping it.
+    identity is 0.  Top level, so a process pool can run it.  The tables
+    share the row tuples of _row_codes(n), and pickle sends each distinct
+    row of a subtree once.
     """
     n, row1, nonassociative, require_s_subgroup = task
-    rows = {}  # row tuple -> its index
     records = []
     for raw, state in _reduced_squares(n, row1):
         L = LoopTable(tuple(raw), 0)
@@ -282,23 +262,19 @@ def _subtree(task: tuple) -> tuple[list, list]:
         count = len(s_subgroups(L))
         if require_s_subgroup and count == 0:
             continue
-        index = bytes([rows.setdefault(row, len(rows)) for row in raw])
-        records.append((index, L.associative, count, state))
-    return list(rows), records
+        records.append((L.table, L.associative, count, state))
+    return records
 
 
-def _entries(subtree: tuple[list, list]) -> list[CatalogEntry]:
+def _entries(records: list[tuple]) -> list[CatalogEntry]:
     """The CatalogEntry list of one _subtree result, in stream order.
 
-    Each table is built as a LoopTable directly, as in _subtree: its rows
-    are the rows of a square that _reduced_squares yielded, in the same
-    order.  CatalogEntry still checks that the identity is 0.
+    Each table is built as a LoopTable directly, as in _subtree.
+    CatalogEntry still checks that the identity is 0.
     """
-    rows, records = subtree
-    get = rows.__getitem__
     return [
-        CatalogEntry(LoopTable(tuple(map(get, index)), 0), associative, count, f"{state:016x}")
-        for index, associative, count, state in records
+        CatalogEntry(LoopTable(table, 0), associative, count, f"{state:016x}")
+        for table, associative, count, state in records
     ]
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .errors import LoopforgeError, NotSLoop, ParseError, SearchCapExceeded
+from .errors import LoopforgeError, NotSLoop, SearchCapExceeded
 from .isotopy import DEFAULT_SEARCH_CAP, _check_cap, principal_isotope
 from .loop_core import LoopTable, s_subgroups, subgroup_violation
 from .perm import inverse
@@ -390,9 +390,6 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise LoopforgeError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SearchCapExceeded as exc:
         print(f"error: {exc}; raise --search-cap to proceed", file=sys.stderr)
         return 2

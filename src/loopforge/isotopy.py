@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeMismatch, InvariantViolation, NotSElements, SearchCapExceeded
+from .errors import InvariantViolation, NotSElements, SearchCapExceeded
 from .loop_core import LoopTable, SLoopContext, SubgroupSet, validate_table
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
@@ -180,22 +180,26 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     Any autotopism satisfies W = U . R_b and V = L_a^-1 . W for a = U(e),
     b = V(e).  So U is an isomorphism of L onto the isotope
     p o q = (p * (a \\ (q * b))) / b, whose identity is a, and the search is
-    one isomorphism search per pair (a, b).
+    one isomorphism search per pair (a, b).  That isotope's table is built
+    without validate_table: each row is a row of L with its columns permuted
+    by q -> a \\ (q * b) and its symbols by r -> r / b, so it is a Latin
+    square by construction.  It is built column-wise, by zip, which costs
+    less than an entry-by-entry comprehension.
     """
     n = L.n
     _check_cap(n, cap)
     t, ld, rd = L.table, L.ldiv, L.rdiv
-    ident = list(range(n))
-    orders = _power_orders(t, L.e, ident, ident)
+    orders = _power_orders(t, L.e)
     results = []
-    # p o q = beta(p * alpha(q)) with alpha(q) = a \ (q * b), beta(r) = r / b.
     for b in range(n):
         col_b = [row[b] for row in t]
-        beta = [row[b] for row in rd]
+        beta = [row[b] for row in rd]  # r -> r / b
+        cols = list(zip(*[[beta[r] for r in row] for row in t]))  # cols[q][p] = (p * q) / b
         for a in range(n):
             ld_a = ld[a]
-            alpha = [ld_a[z] for z in col_b]
-            for u in _isomorphism_search(t, L.e, orders, t, a, alpha, beta):
+            alpha = [ld_a[z] for z in col_b]  # q -> a \ (q * b)
+            target = list(zip(*[cols[q] for q in alpha]))
+            for u in _isomorphism_search(t, L.e, orders, target, a):
                 w = tuple([col_b[x] for x in u])
                 v = tuple([ld_a[z] for z in w])
                 if not law_holds(t, t, u, v, w):
@@ -237,43 +241,29 @@ def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list
     return out
 
 
-def transport_autotopisms(aut: list[Autotopism], record: PrincipalIsotopeRecord) -> list[Autotopism]:
-    """The autotopism group of record.result, sorted, carried over from
-    aut, the autotopism group of record.source, by carry_autotopisms."""
-    n = record.source.n
-    for a in aut:
-        degrees = (a.u.degree, a.v.degree, a.w.degree)
-        if degrees != (n, n, n):
-            raise DegreeMismatch(f"triple of degrees {degrees} carried onto an order-{n} isotope")
-    carried = carry_autotopisms([a.key() for a in aut], record)
-    return sorted((Autotopism(*map(Perm._unchecked, key)) for key in carried), key=Autotopism.key)
-
-
-def _power_orders(t: list, e: int, alpha, beta) -> list[int]:
-    """For each x, the least k <= n with x^k = e under p o q = beta(p * alpha(q)),
-    where x^1 = x and x^(k+1) = x^k o x; n + 1 when there is no such k."""
+def _power_orders(t: list, e: int) -> list[int]:
+    """For each x, the least k <= n with x^k = e in t, where x^1 = x and
+    x^(k+1) = x^k * x; n + 1 when there is no such k."""
     n = len(t)
     out = []
     for x in range(n):
-        ax = alpha[x]
         p, k = x, 1
         while p != e and k <= n:
-            p = beta[t[p][ax]]
+            p = t[p][x]
             k += 1
         out.append(k)
     return out
 
 
-def _isomorphism_search(
-    t1: list, e1: int, order1: list, t2: list, e2: int, alpha, beta
-) -> list[tuple]:
-    """Image tuples of every bijection A with A(x * y) = beta(A(x) * alpha(A(y))),
-    x * y read in t1 and the right-hand product in t2, in lexicographic order.
+def _isomorphism_search(t1: list, e1: int, order1: list, t2: list, e2: int) -> list[tuple]:
+    """Image tuples of every bijection A with A(x * y) = A(x) * A(y), the
+    left-hand product read in t1 and the right-hand one in t2, in
+    lexicographic order.
 
     A(e1) = e2 is pinned, and each assignment forces the image of every
     product with an already-assigned point.  order1 must be the
     _power_orders of t1 at e1 (the caller computes it once per source), and
-    A keeps it: with x^k read in t1 and A(x)^k under the target operation,
+    A keeps it: with x^k read in t1 and A(x)^k in t2,
     A(x^k) = A(x)^k by induction on k, and A is injective with A(e1) = e2,
     so x^k = e1 exactly when A(x)^k = e2.  That holds for every solution,
     whether or not e2 is the target's identity, so the search returns nothing
@@ -281,7 +271,7 @@ def _isomorphism_search(
     the same order.
     """
     n = len(t1)
-    order2 = _power_orders(t2, e2, alpha, beta)
+    order2 = _power_orders(t2, e2)
     if sorted(order1) != sorted(order2):
         return []
     candidates = {}
@@ -300,11 +290,12 @@ def _isomorphism_search(
         while queue:
             x = queue.pop()
             done.append(x)
-            row_x, row_v, av = t1[x], t2[img[x]], alpha[img[x]]
+            v = img[x]
+            row_x, row_v = t1[x], t2[v]
             for y in done:
                 w = img[y]
                 # x * y and y * x have forced images; compare before pushing.
-                for z, r in ((row_x[y], beta[row_v[alpha[w]]]), (t1[y][x], beta[t2[w][av]])):
+                for z, r in ((row_x[y], row_v[w]), (t1[y][x], t2[w][v])):
                     c = img[z]
                     if c != r:
                         if c != -1 or used[r] or order1[z] != order2[r]:
@@ -345,13 +336,10 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
     """All bijections A with A(x) * A(y) = A(x * y) from L1 onto L2, sorted."""
     if L1.n != L2.n:
         return []
-    n = L1.n
-    _check_cap(n, cap)
+    _check_cap(L1.n, cap)
     t1, t2 = L1.table, L2.table
-    ident = list(range(n))
-    orders = _power_orders(t1, L1.e, ident, ident)
     found = []
-    for img in _isomorphism_search(t1, L1.e, orders, t2, L2.e, ident, ident):
+    for img in _isomorphism_search(t1, L1.e, _power_orders(t1, L1.e), t2, L2.e):
         if not law_holds(t1, t2, img, img, img):
             raise InvariantViolation(f"search produced a non-isomorphism {list(img)}")
         found.append(Perm._unchecked(img))
@@ -369,21 +357,11 @@ def diagonal(aut: list[Autotopism]) -> list[Perm]:
 
 
 def s_isomorphisms(
-    ctx1: SLoopContext,
-    ctx2: SLoopContext,
-    cap: int = DEFAULT_SEARCH_CAP,
-    onto: bool = False,
+    ctx1: SLoopContext, ctx2: SLoopContext, cap: int = DEFAULT_SEARCH_CAP
 ) -> list[Perm]:
-    """Isomorphisms from ctx1.loop to ctx2.loop carrying ctx1.h into ctx2.h.
-
-    By default an image-containment check; with onto=True the subgroup must
-    map exactly onto ctx2.h.  The two agree whenever the subgroups share a
-    size, since isomorphisms are injective.
-    """
+    """Isomorphisms A from ctx1.loop to ctx2.loop with A(ctx1.h) = ctx2.h."""
     h2 = set(ctx2.h.elements)
-    out = []
-    for a in isomorphisms(ctx1.loop, ctx2.loop, cap=cap):
-        image = {a.images[x] for x in ctx1.h.elements}
-        if image <= h2 and (not onto or image == h2):
-            out.append(a)
-    return out
+    return [
+        a for a in isomorphisms(ctx1.loop, ctx2.loop, cap=cap)
+        if {a.images[x] for x in ctx1.h.elements} == h2
+    ]

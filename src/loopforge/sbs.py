@@ -74,7 +74,7 @@ def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
     return members
 
 
-def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list[tuple[int, int]]:
+def special_witnesses(L: LoopTable, theta: Perm) -> list[tuple[int, int]]:
     """All (f, g) whose triple with theta passes the autotopism law.
 
     Every witness satisfies f * g = theta(e), so g is determined by f and
@@ -84,15 +84,10 @@ def special_witnesses(L: LoopTable, theta: Perm, restrict_to=None) -> list[tuple
     imgs = theta.images
     if len(imgs) != L.n:
         raise DegreeMismatch(f"theta of degree {len(imgs)} on an order-{L.n} loop")
-    if restrict_to is not None and restrict_to.parent != L:
-        raise ValueError("subgroup belongs to a different loop")
-    domain = range(L.n) if restrict_to is None else restrict_to.elements
     t, ld, rd = L.table, L.ldiv, L.rdiv
     out = []
-    for f in domain:
+    for f in range(L.n):
         g = ld[f][imgs[L.e]]
-        if g not in domain:
-            continue
         u = tuple([rd[z][g] for z in imgs])
         v = tuple(map(ld[f].__getitem__, imgs))
         if law_holds(t, t, u, v, imgs):

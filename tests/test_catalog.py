@@ -18,7 +18,6 @@ from loopforge import (
     iter_catalog,
     klein_four,
     n5_loop,
-    normalize,
     read_table,
     s_subgroups,
     validate_table,
@@ -56,23 +55,20 @@ class TestContentId:
 
 
 class TestNormalize:
+    # canonical_form is the one relabelling that moves the identity to 0.
     def test_already_normalized_is_unchanged(self, z4):
-        normalized, relabel = normalize(z4)
-        assert normalized.table == z4.table
-        assert relabel.images == (0, 1, 2, 3)
+        M, _ = canonical_form(z4)
+        assert canonical_form(M)[0] == M
 
     def test_shifted_identity(self, loop_3x3_shifted, z3):
-        normalized, relabel = normalize(loop_3x3_shifted)
-        assert normalized.e == 0
-        assert normalized.table == z3.table
-        assert relabel.images == (2, 1, 0)
+        M, phi = canonical_form(loop_3x3_shifted)
+        assert M.e == 0
+        assert M.table == z3.table
+        assert phi(loop_3x3_shifted.e) == 0
 
     def test_relabel_is_an_isomorphism(self, loop_3x3_shifted):
-        normalized, relabel = normalize(loop_3x3_shifted)
-        t, imgs = loop_3x3_shifted.table, relabel.images
-        for x in range(3):
-            for y in range(3):
-                assert normalized.table[imgs[x]][imgs[y]] == imgs[t[x][y]]
+        M, phi = canonical_form(loop_3x3_shifted)
+        assert M.table == validate_table(relabel(loop_3x3_shifted, phi.images)).table
 
 
 class TestCanonicalForm:

@@ -19,14 +19,16 @@ from loopforge import (
     ker_phi,
     klein_four,
     n5_loop,
-    normalize,
     omega,
     s_loop_context,
     s_subgroups,
     sbs,
+    validate_table,
     verify_theorems,
 )
 from loopforge.perm import identity
+
+from oracles import relabel
 
 LOOPS = {"n5": n5_loop, "Z4": lambda: cyclic_loop(4), "V4": klein_four}
 
@@ -110,7 +112,10 @@ def _relabelled(real):
     # subgroup of the relabelled table and only H's products show the swap.
     def isotope(L, f, g):
         record = real(L, f, g)
-        return dataclasses.replace(record, result=normalize(record.result)[0])
+        e = record.result.e
+        images = list(range(L.n))
+        images[0], images[e] = e, 0
+        return dataclasses.replace(record, result=validate_table(relabel(record.result, images)))
 
     return isotope
 
