@@ -42,10 +42,8 @@ from .isotopy import (
     autotopism_inverse,
     autotopism_product,
     automorphism_group,
-    format_isotope_record,
     identity_autotopism,
     isomorphisms,
-    parse_isotope_record,
     principal_isotope,
     s_isomorphisms,
     smarandache_principal_isotope,
@@ -65,7 +63,7 @@ from .loop_core import (
     translations,
     validate_table,
 )
-from .perm import Perm, compose, format_perm, identity, inverse, parse_perm
+from .perm import Perm, compose, identity, inverse
 from .sbs import (
     CHECK_KEYS,
     AggregateReport,

@@ -154,19 +154,6 @@ def fan_out(fn, tasks: list, workers: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def _second_rows(n: int) -> list[tuple]:
-    """Every valid row 1 of a reduced square, in lexicographic order.
-
-    Row 1 starts with 1 and puts no j in column j, where row 0 already has
-    it; every such row extends to a full reduced square (a Latin rectangle
-    always completes).  There are 1, 1, 3, 11, 53 for orders 2 through 6.
-    """
-    return [
-        p for p in itertools.permutations(range(n))
-        if p[0] == 1 and all(p[j] != j for j in range(1, n))
-    ]
-
-
 @functools.cache
 def _row_codes(n: int) -> tuple[list, dict]:
     """Every permutation of 0..n-1 as a (code, row, format_row bytes)
@@ -184,18 +171,33 @@ def _row_codes(n: int) -> tuple[list, dict]:
     return rows, {t[0]: t for t in rows}
 
 
+def _second_rows(n: int) -> list[tuple]:
+    """Every valid row 1 of a reduced square, in lexicographic order.
+
+    These are the rows of _row_codes(n) that start with 1 and clash with
+    row 0, the identity, in no column; every such row extends to a full
+    reduced square (a Latin rectangle always completes).  There are 1, 1,
+    3, 11, 53 for orders 2 through 6.
+    """
+    rows = _row_codes(n)[0]
+    identity = rows[0][0]
+    return [row for code, row, _ in rows if row[0] == 1 and not code & identity]
+
+
 def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
     """The reduced squares with row 1 equal to row1, in lexicographic order.
 
-    Rows 2..n-2 are searched row by row, each from the rows that start
-    with their index and clash with neither row 0 nor row 1, in
-    lexicographic order; row n-1 is then filled by elimination.  The rows
-    above the last make an (n-1) x n Latin rectangle.  Each symbol sits
-    once in each of the n-1 rows, in n-1 distinct columns, so it is missing
-    from exactly one column.  Row n-1 must hold in each column the one
-    symbol that column lacks, and those symbols are distinct, so every
-    rectangle completes to exactly one square and the last row needs no
-    search: its code is the complement of the rectangle's.
+    One recursion fills rows 0..n-2 in turn, each from its options in
+    lexicographic order, less those that clash with a row above it: row 0
+    has the identity row as its one option, row 1 has row1, and each row
+    r >= 2 the rows that start with r and clash with neither.  Row n-1 is
+    then filled by elimination.  The rows above the last make an
+    (n-1) x n Latin rectangle.  Each symbol sits once in each of the n-1
+    rows, in n-1 distinct columns, so it is missing from exactly one
+    column.  Row n-1 must hold in each column the one symbol that column
+    lacks, and those symbols are distinct, so every rectangle completes to
+    exactly one square and the last row needs no search: its code is the
+    complement of the rectangle's.
 
     Yields (rows, state) with state the FNV-1a state of the table's
     canonical text form (format_table), so content_id is f"{state:016x}".
@@ -207,17 +209,13 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
     Squares share the row tuples of _row_codes(n).
     """
     rows, by_code = _row_codes(n)
-    first = rows[0]
     second = next(t for t in rows if t[1] == tuple(row1))
-    square = [first[1], second[1]] + [()] * (n - 2)
-    state = _fnv_fold(_fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), first[2])
-    state = _fnv_fold(state, second[2])
-    if n == 2:  # row 1 is the last row
-        yield square, state
-        return
-    taken = first[0] | second[0]
+    taken = rows[0][0] | second[0]
     block = len(rows) // n  # rows starting with each symbol
-    options = [[t for t in rows[r * block:(r + 1) * block] if not t[0] & taken] for r in range(n)]
+    options = [[rows[0]], [second]] + [
+        [t for t in rows[r * block:(r + 1) * block] if not t[0] & taken] for r in range(2, n - 1)
+    ]
+    square = [()] * n
     full = (1 << n * n) - 1
     last = n - 1
 
@@ -232,14 +230,7 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
                 square[r] = row
                 yield from fill(r + 1, used | code, _fnv_fold(h, text))
 
-    if last == 2:
-        yield from fill(2, taken, state)
-        return
-    # Rows 0 and 1 are all that row 2 could clash with, so its options need
-    # no test; the rows below it are tested against the rows above them.
-    for code, row, text in options[2]:
-        square[2] = row
-        yield from fill(3, taken | code, _fnv_fold(state, text))
+    yield from fill(0, 0, _fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")))
 
 
 def _subtree(task: tuple) -> list[tuple]:

@@ -98,11 +98,11 @@ def _verify_file(
     the rows _select picks from it.
 
     "file" names the path being verified.  A table error wins over a
-    malformed --subgroup, which wins over the search cap.
+    malformed --subgroup, which wins over the search cap that
+    verify_theorems enforces.
     """
     L = catalog.read_table(path)
     wanted = _parse_subgroup(subgroup) if subgroup else None
-    _check_cap(L.n, cap)
     ver = verify_theorems(L, cap=cap)
     doc = {"file": str(path), **_document(catalog.content_id(L), ver, range(L.n))}
     return doc, _select(L, doc, theorem, wanted)
@@ -219,10 +219,14 @@ def _verify_dir(args) -> int:
     """Verify every catalog entry, one loop per isomorphism class.
 
     This process reads each entry and enforces the search cap, so a read or
-    cap failure is that entry's error row.  The other entries are grouped by
-    their canonical_form table, in order of first appearance, and fan_out
-    runs _verify_class on each group.  Reports are written as each class's
-    results arrive; rows are printed in index order.
+    cap failure is that entry's error row.  The cap check comes before
+    canonical_form, and it is the only bound on that: canonical_form tries
+    every order of a row's equal-length cycles, which grows factorially
+    ((Z2)^4 gives 9,676,800 relabellings).  The other entries are grouped
+    by their canonical_form table, in order of first appearance, and
+    fan_out runs _verify_class on each group.  Reports are written as each
+    class's results arrive, and a report that cannot be written makes its
+    entry an error row; rows are printed in index order.
     """
     base = Path(args.target)
     entries = catalog.iter_catalog(base)
@@ -249,7 +253,10 @@ def _verify_dir(args) -> int:
         for members, results in zip(classes.values(), outcomes):
             for (i, _), (status, text, summary) in zip(members, results):
                 if text is not None:
-                    (base / f"{entries[i][0]}.report.json").write_text(text, encoding="ascii")
+                    try:
+                        (base / f"{entries[i][0]}.report.json").write_text(text, encoding="ascii")
+                    except OSError as exc:
+                        status, summary = "error", str(exc)
                 rows[i] = (status, summary)
     rows = [(entry_id, *row) for (entry_id, _), row in zip(entries, rows)]
     counts = {"ok": 0, "fail": 0, "skip": 0, "error": 0}
@@ -324,8 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False):
+    def add_json(p):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+    def add_common(p, jobs=False):
+        add_json(p)
         p.add_argument(
             "--search-cap",
             type=int,
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a table file and describe the loop")
     p.add_argument("file")
-    add_common(p)
+    add_json(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="full cardinality report for one loop")
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="permit the unbounded order-6 run (9408 entries)",
     )
-    add_common(p)
+    add_json(p)
     p.set_defaults(func=cmd_generate)
     return parser
 

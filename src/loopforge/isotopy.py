@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotSElements, SearchCapExceeded
+from .errors import InvariantViolation, NotSElements, NotSLoop, SearchCapExceeded
 from .loop_core import LoopTable, SLoopContext, SubgroupSet, validate_table
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
@@ -129,49 +129,10 @@ def smarandache_principal_isotope(
     record = principal_isotope(ctx.loop, f, g)
     try:
         new_h = SubgroupSet(ctx.h.elements, record.result)
-    except ValueError as exc:
+    except NotSLoop as exc:
         violation = str(exc).removeprefix("not a subgroup: ")
         raise InvariantViolation(f"subgroup lost under isotopy: {violation}") from None
     return record, SLoopContext(record.result, new_h)
-
-
-def format_isotope_record(record: PrincipalIsotopeRecord) -> str:
-    """Source table, a marker line "isotope f=<f> g=<g>", then the result."""
-    from .loop_core import format_table
-
-    return (
-        format_table(record.source)
-        + f"isotope f={record.f} g={record.g}\n"
-        + format_table(record.result)
-    )
-
-
-def parse_isotope_record(text: str) -> PrincipalIsotopeRecord:
-    """Inverse of format_isotope_record; the stored result is cross-checked."""
-    from .errors import ParseError
-    from .loop_core import parse_table
-
-    lines = text.splitlines()
-    marker = None
-    for i, line in enumerate(lines):
-        if line.startswith("isotope "):
-            marker = i
-            break
-    if marker is None:
-        raise ParseError("missing 'isotope f=<f> g=<g>' line")
-    try:
-        fields = dict(part.split("=") for part in lines[marker].split()[1:])
-        f, g = int(fields["f"]), int(fields["g"])
-    except (ValueError, KeyError):
-        raise ParseError(f"bad isotope line {lines[marker]!r}", line=marker + 1) from None
-    source = parse_table("\n".join(lines[:marker]))
-    if not (0 <= f < source.n and 0 <= g < source.n):
-        raise ParseError(f"parameters ({f}, {g}) outside 0..{source.n - 1}", line=marker + 1)
-    stored = parse_table("\n".join(lines[marker + 1:]))
-    record = principal_isotope(source, f, g)
-    if stored.table != record.result.table:
-        raise ParseError("stored isotope table does not match its parameters")
-    return record
 
 
 def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:

@@ -180,7 +180,8 @@ def is_subgroup(L: LoopTable, elements: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class SubgroupSet:
-    """A subset certified on construction to form a group inside its loop."""
+    """A subset certified on construction to form a group inside its loop;
+    any other subset raises NotSLoop("not a subgroup: <violation>")."""
 
     elements: tuple
     parent: LoopTable
@@ -190,7 +191,7 @@ class SubgroupSet:
         object.__setattr__(self, "elements", tuple(sorted(sset)))
         violation = _violation(self.parent, sset, self.elements)
         if violation is not None:
-            raise ValueError(f"not a subgroup: {violation}")
+            raise NotSLoop(f"not a subgroup: {violation}")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -258,7 +259,7 @@ def subgroups(L: LoopTable) -> list[SubgroupSet]:
             if closed != whole or L.associative:
                 try:
                     h = SubgroupSet(tuple(closed), L)
-                except ValueError:
+                except NotSLoop:
                     pass
             groups[closed] = h
         return groups[closed]
@@ -310,18 +311,14 @@ class SLoopContext:
 
     def __post_init__(self):
         if self.h.parent != self.loop:
-            raise ValueError("subgroup belongs to a different loop")
+            raise NotSLoop("subgroup belongs to a different loop")
         if not 2 <= len(self.h) < self.loop.n:
             raise NotSLoop(f"subgroup size {len(self.h)} not in 2..{self.loop.n - 1}")
 
 
 def s_loop_context(L: LoopTable, elements: Iterable[int]) -> SLoopContext:
     """Validate elements as a proper non-trivial subgroup and pair it with L."""
-    try:
-        h = SubgroupSet(tuple(elements), L)
-    except ValueError as exc:  # "not a subgroup: <violation>"
-        raise NotSLoop(str(exc)) from None
-    return SLoopContext(L, h)
+    return SLoopContext(L, SubgroupSet(tuple(elements), L))
 
 
 def format_row(row: Sequence[int]) -> str:

@@ -132,14 +132,3 @@ def inverse(p: Perm) -> Perm:
         inv[v] = i
     return Perm._unchecked(tuple(inv))
 
-
-def format_perm(p: Perm) -> str:
-    """Comma-separated image list, e.g. "1,2,0"."""
-    return ",".join(str(v) for v in p.images)
-
-
-def parse_perm(text: str) -> Perm:
-    try:
-        return Perm(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad permutation text {text!r}: {exc}") from None

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import multiprocessing
 import random
 import subprocess
@@ -164,6 +166,27 @@ class TestGeneration:
             assert len(rows) == count
             stream = generate_loops(n, allow_order_six=True)
             assert rows == list(dict.fromkeys(e.loop.table[1] for e in stream))
+
+    def test_second_rows_match_the_permutation_scan(self):
+        # Row 1 starts with 1 and puts no j in column j, where row 0 has it.
+        for n, count in zip(range(2, 8), (1, 1, 3, 11, 53, 309)):
+            scan = [
+                p for p in itertools.permutations(range(n))
+                if p[0] == 1 and all(p[j] != j for j in range(1, n))
+            ]
+            assert len(scan) == count
+            assert catalog._second_rows(n) == scan
+
+    def test_stream_is_pinned(self):
+        # Every entry of orders 2-6, in stream order: ids, tables and flags.
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            for e in generate_loops(n, allow_order_six=True):
+                key = (e.entry_id, e.loop.table, e.associative, e.s_subgroup_count)
+                digest.update(repr(key).encode("ascii"))
+        assert digest.hexdigest() == (
+            "800558159d7161f6d8ee49140508fd53601521d76d41cbf29f632c6825f9a88a"
+        )
 
     def test_pooled_order_6_stream_equals_the_one_cpu_stream(self, monkeypatch):
         def key(e):

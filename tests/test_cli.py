@@ -186,6 +186,10 @@ class TestVerifyFile:
         assert main(["verify", z4_file, "--search-cap", "3"]) == 2
         assert "--search-cap" in capsys.readouterr().err
 
+    def test_malformed_subgroup_wins_over_search_cap(self, z4_file, capsys):
+        assert main(["verify", z4_file, "--subgroup", "0,x", "--search-cap", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad subgroup list '0,x'")
+
     def test_reads_the_table_once(self, z4_file, monkeypatch, capsys):
         calls = []
         real = catalog.parse_table
@@ -300,6 +304,21 @@ class TestVerifyDir:
         for path in loops[2:]:
             assert rows[path.stem] == {"id": path.stem, "status": "ok", "summary": "16/16 passed"}
             assert (catalog_dir / f"{path.stem}.report.json").exists()
+
+    def test_an_unwritable_report_is_an_error_and_the_rest_still_run(self, catalog_dir, capsys):
+        ids = [entry_id for entry_id, _ in iter_catalog(catalog_dir)]
+        blocked = catalog_dir / f"{ids[1]}.report.json"
+        blocked.mkdir()
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir), "--jobs", "1"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"ok": 3, "fail": 0, "skip": 0, "error": 1}
+        rows = {row["id"]: row for row in doc["entries"]}
+        assert rows[ids[1]]["status"] == "error"
+        assert str(blocked) in rows[ids[1]]["summary"]
+        for entry_id in ids[:1] + ids[2:]:
+            assert rows[entry_id]["status"] == "ok"
+            assert (catalog_dir / f"{entry_id}.report.json").is_file()
 
     def test_non_ascii_index_is_named(self, catalog_dir, capsys):
         index = catalog_dir / "index.tsv"
@@ -514,6 +533,14 @@ class TestGenerate:
         # the 6 associative order-5 tables have no proper subgroup, so the
         # two filters intersect in all 26 subgroup-bearing loops
         assert count == 26
+
+
+@pytest.mark.parametrize("command", ["validate", "isotope", "generate"])
+def test_search_cap_is_only_for_commands_that_search(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--search-cap" not in capsys.readouterr().out
 
 
 def test_python_dash_m_runs_the_cli(z4_file, package_env):

@@ -8,7 +8,6 @@ from loopforge import (
     Autotopism,
     InvariantViolation,
     NotSElements,
-    ParseError,
     Perm,
     SearchCapExceeded,
     autotopism_group,
@@ -18,13 +17,11 @@ from loopforge import (
     bs_group,
     canonical_form,
     cyclic_loop,
-    format_isotope_record,
     generate_loops,
     identity,
     identity_autotopism,
     isomorphisms,
     middle_nucleus,
-    parse_isotope_record,
     principal_isotope,
     s_isomorphisms,
     s_loop_context,
@@ -126,44 +123,6 @@ class TestSmarandacheIsotope:
         calls.clear()
         smarandache_principal_isotope(ctx, 0, 2)
         assert calls == [(0, 2)]
-
-
-class TestIsotopeRecordText:
-    def test_round_trip(self, z4):
-        record = principal_isotope(z4, 1, 2)
-        text = format_isotope_record(record)
-        parsed = parse_isotope_record(text)
-        assert parsed.source.table == z4.table
-        assert parsed.result.table == record.result.table
-        assert (parsed.f, parsed.g) == (1, 2)
-
-    def test_tampered_result_rejected(self, z4):
-        record = principal_isotope(z4, 1, 2)
-        text = format_isotope_record(record).replace("f=1", "f=3")
-        with pytest.raises(ParseError):
-            parse_isotope_record(text)
-
-    def test_missing_marker(self, z4):
-        from loopforge import format_table
-
-        with pytest.raises(ParseError):
-            parse_isotope_record(format_table(z4) * 2)
-
-    def test_bad_marker_fields(self, z4):
-        record = principal_isotope(z4, 0, 0)
-        text = format_isotope_record(record).replace("f=0 g=0", "f=zero g=0")
-        with pytest.raises(ParseError):
-            parse_isotope_record(text)
-
-    @pytest.mark.parametrize("f", [-1, 9])
-    def test_out_of_range_parameter_is_located(self, z4, f):
-        record = principal_isotope(z4, 0, 2)
-        text = format_isotope_record(record).replace("f=0 g=2", f"f={f} g=2")
-        with pytest.raises(ParseError) as exc:
-            parse_isotope_record(text)
-        # The order line and four rows come first, so the marker is line 6.
-        assert exc.value.line == 6
-        assert exc.value.message == f"parameters ({f}, 2) outside 0..3"
 
 
 class TestAutotopisms:

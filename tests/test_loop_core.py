@@ -9,6 +9,8 @@ from loopforge import (
     NotSLoop,
     NotSquare,
     ParseError,
+    SLoopContext,
+    SubgroupSet,
     cyclic_loop,
     format_table,
     generate_loops,
@@ -254,6 +256,15 @@ class TestSLoopContext:
             s_loop_context(z4, [0])
         with pytest.raises(NotSLoop):
             s_loop_context(z4, [0, 1, 2, 3])
+
+    def test_rejects_a_subgroup_of_another_loop(self, z4, klein):
+        h = SubgroupSet((0, 2), klein)
+        with pytest.raises(NotSLoop, match=r"^subgroup belongs to a different loop$"):
+            SLoopContext(z4, h)
+
+    def test_subgroup_set_rejects_with_not_s_loop(self, z4):
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: identity 0 missing$"):
+            SubgroupSet((1, 3), z4)
 
 
 class TestTextFormat:

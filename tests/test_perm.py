@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from loopforge import DegreeMismatch, Perm, compose, format_perm, identity, inverse, parse_perm
+from loopforge import DegreeMismatch, Perm, compose, identity, inverse
 
 
 def test_images_and_call():
@@ -80,16 +80,3 @@ def test_equality_hash_ordering():
 def test_repr():
     assert repr(Perm([2, 0, 1])) == "Perm([2, 0, 1])"
 
-
-def test_text_round_trip():
-    p = Perm([3, 1, 0, 2])
-    assert format_perm(p) == "3,1,0,2"
-    assert parse_perm("3,1,0,2") == p
-    assert parse_perm(format_perm(identity(5))) == identity(5)
-
-
-def test_parse_perm_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_perm("1,x,0")
-    with pytest.raises(ValueError):
-        parse_perm("1,2")
