@@ -8,6 +8,7 @@ table.  Expected counts: 1, 1, 4, 56, 9408 for orders 2 through 6.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -20,6 +21,7 @@ from typing import Iterator
 from .errors import InvariantViolation, OrderTooLarge, ParseError
 from .loop_core import (
     LoopTable,
+    _power_orders,
     format_row,
     format_table,
     parse_table,
@@ -60,64 +62,57 @@ class CatalogEntry:
             raise InvariantViolation("catalog entries must be normalized")
 
 
-def _cycles(row: tuple, start: int) -> list[list[int]]:
-    """The cycles of the permutation row, the one through start first and
-    read from start, then the others in order of their least element."""
-    seen = [False] * len(row)
-    cycles = []
-    for x in (start, *range(len(row))):
-        cycle = []
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = row[x]
-        if cycle:
-            cycles.append(cycle)
-    return cycles
-
-
 def canonical_form(L: LoopTable) -> tuple[LoopTable, Perm]:
     """(M, phi) with M = phi(L) and phi(L.e) = 0, where M is the same table
     for every loop isomorphic to L.
 
-    Row phi(x) of phi(L) is phi L_x phi^-1, which keeps the marked cycle
-    type of the left translation L_x: its cycle lengths, with the length of
-    the cycle through the identity marked.  Each non-identity row has a
-    type, and the type chosen is the one whose marked cycle is longest, then
-    whose other lengths are least; the longer that cycle, the fewer the
-    relabellings below.  For each row L_x of that type, take every phi that
-    carries L_x onto the type's normal form: the marked cycle laid out from
-    the identity as 0, 1, ..., then the other cycles, shortest first, each
-    on consecutive labels.  Cycles of equal length are matched in every
-    order, each from every starting point.  An isomorphism psi carries the
-    rows of the chosen type onto each other, so it turns this set of phi
-    for L into the set for psi(L), phi into phi psi^-1, and both give the
-    same tables; M is the lex-least of them.  M is built from phi, so it is
-    always isomorphic to L.
+    phi labels the elements in the order a generator sequence reaches them
+    (G. L. Miller, "On the n^(log n) isomorphism technique", 1978).  The
+    sequence starts as [e, x1], x1 any non-identity element of the power
+    order (see _power_orders) that the fewest non-identity elements share,
+    the least such order on a tie.  It is closed: for i = 0, 1, ... over
+    the growing sequence and each j <= i, s_i*s_j and then s_j*s_i are
+    appended when new, which ends at the subloop generated.  Until that is
+    the whole loop, each element outside it in turn is appended and the
+    sequence closed again.  Each complete sequence s gives phi[s_k] = k,
+    and M is the lex-least phi(L).
+
+    A proper subloop has at most half the elements of its loop (see
+    _closure), so each generator at least doubles the subloop: there are
+    at most floor(log2 n) generators and (n-1)*n^(floor(log2 n)-1)
+    sequences.  An isomorphism psi keeps power orders and products, so it
+    carries the sequences of L onto those of psi(L) label for label, and
+    both give the same tables.  M is built from phi, so it is isomorphic
+    to L.
     """
     n, e, t = L.n, L.e, L.table
-    if n == 1:
-        return L, Perm((0,))
-    rows = {}  # marked cycle type -> the cycles of each row of that type
-    for x in range(n):
-        if x != e:
-            cycles = _cycles(t[x], e)
-            marked_type = (-len(cycles[0]), tuple(sorted(map(len, cycles[1:]))))
-            rows.setdefault(marked_type, []).append(cycles)
+    orders = _power_orders(t, e)
+    shared = collections.Counter(orders[x] for x in range(n) if x != e)
+    first = min(shared, key=lambda k: (shared[k], k), default=None)
     best = None
-    for cycles in rows[min(rows)]:
-        rest = sorted(cycles[1:], key=len)
-        groups = [list(g) for _, g in itertools.groupby(rest, key=len)]
-        for order in itertools.product(*map(itertools.permutations, groups)):
-            laid = [c for group in order for c in group]
-            for starts in itertools.product(*(range(len(c)) for c in laid)):
-                inv = cycles[0] + [x for c, s in zip(laid, starts) for x in c[s:] + c[:s]]
-                phi = [0] * n
-                for label, x in enumerate(inv):
-                    phi[x] = label
-                M = tuple(tuple([phi[row[x]] for x in inv]) for row in map(t.__getitem__, inv))
-                if best is None or M < best[0]:
-                    best = M, phi
+
+    def search(seq: list, label: list, i: int) -> None:
+        nonlocal best
+        while i < len(seq):
+            a = seq[i]
+            row = t[a]
+            for b in seq[:i + 1]:
+                for c in (row[b], t[b][a]):
+                    if label[c] < 0:
+                        label[c] = len(seq)
+                        seq.append(c)
+            i += 1
+        if i == n:
+            M = tuple([tuple([label[t[a][b]] for b in seq]) for a in seq])
+            if best is None or M < best[0]:
+                best = M, label
+        for x in range(n):
+            if label[x] < 0 and (i > 1 or orders[x] == first):
+                grown = label.copy()
+                grown[x] = i
+                search(seq + [x], grown, i)
+
+    search([e], [0 if x == e else -1 for x in range(n)], 0)
     return LoopTable(best[0], 0), Perm(best[1])
 
 

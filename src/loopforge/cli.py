@@ -220,9 +220,9 @@ def _verify_dir(args) -> int:
 
     This process reads each entry and enforces the search cap, so a read or
     cap failure is that entry's error row.  The cap check comes before
-    canonical_form, and it is the only bound on that: canonical_form tries
-    every order of a row's equal-length cycles, which grows factorially
-    ((Z2)^4 gives 9,676,800 relabellings).  The other entries are grouped
+    canonical_form, which labels each loop by generator closure and tries
+    at most n^(log2 n) generator sequences, so the cap bounds its time
+    too.  The other entries are grouped
     by their canonical_form table, in order of first appearance, and
     fan_out runs _verify_class on each group.  Reports are written as each
     class's results arrive, and a report that cannot be written makes its

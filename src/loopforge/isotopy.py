@@ -7,11 +7,9 @@ loop onto its isotope p o q = (p * (a \\ (q * b))) / b, so autotopisms and
 isomorphisms come from one propagating backtracker; plain brute force lives
 in the test suite as an oracle.
 
-The backtracker prunes by right-power order: the least k with x^k = e,
-where x^1 = x and x^(k+1) = x^k * x.  An isomorphism A sends x^k to A(x)^k
-and e to the identity of its target, and it is injective, so x^k = e exactly
-when A(x)^k is that identity: x and A(x) have the same order.  A branch that
-maps x to an element of another order cannot lead to a solution.
+The backtracker prunes by right-power order, an isomorphism invariant
+(see loop_core._power_orders): a branch that maps x to an element of
+another order cannot lead to a solution.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotSElements, NotSLoop, SearchCapExceeded
-from .loop_core import LoopTable, SLoopContext, SubgroupSet, validate_table
+from .loop_core import LoopTable, SLoopContext, SubgroupSet, _power_orders, validate_table
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
 DEFAULT_SEARCH_CAP = 10
@@ -202,20 +200,6 @@ def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list
     return out
 
 
-def _power_orders(t: list, e: int) -> list[int]:
-    """For each x, the least k <= n with x^k = e in t, where x^1 = x and
-    x^(k+1) = x^k * x; n + 1 when there is no such k."""
-    n = len(t)
-    out = []
-    for x in range(n):
-        p, k = x, 1
-        while p != e and k <= n:
-            p = t[p][x]
-            k += 1
-        out.append(k)
-    return out
-
-
 def _isomorphism_search(t1: list, e1: int, order1: list, t2: list, e2: int) -> list[tuple]:
     """Image tuples of every bijection A with A(x * y) = A(x) * A(y), the
     left-hand product read in t1 and the right-hand one in t2, in
@@ -224,12 +208,10 @@ def _isomorphism_search(t1: list, e1: int, order1: list, t2: list, e2: int) -> l
     A(e1) = e2 is pinned, and each assignment forces the image of every
     product with an already-assigned point.  order1 must be the
     _power_orders of t1 at e1 (the caller computes it once per source), and
-    A keeps it: with x^k read in t1 and A(x)^k in t2,
-    A(x^k) = A(x)^k by induction on k, and A is injective with A(e1) = e2,
-    so x^k = e1 exactly when A(x)^k = e2.  That holds for every solution,
-    whether or not e2 is the target's identity, so the search returns nothing
-    when the two order multisets differ, and tries and forces only images of
-    the same order.
+    A keeps it, read in t2 at A(e1) = e2 (see _power_orders), whether or
+    not e2 is the target's identity.  So the search
+    returns nothing when the two order multisets differ, and tries and
+    forces only images of the same order.
     """
     n = len(t1)
     order2 = _power_orders(t2, e2)

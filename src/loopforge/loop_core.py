@@ -203,6 +203,27 @@ class SubgroupSet:
         return x in self.elements
 
 
+def _power_orders(t: Sequence[Sequence[int]], e: int) -> list[int]:
+    """For each x, the least k <= n with x^k = e in t, where x^1 = x and
+    x^(k+1) = x^k * x; n + 1 when there is no such k.
+
+    This right-power order is an isomorphism invariant.  Let A be a
+    bijection with A(x * y) = A(x) o A(y) onto a table t2, with orders read
+    in t2 at A(e).  Then A(x^k) = A(x)^k by induction on k, and A is
+    injective, so x^k = e exactly when A(x)^k = A(e): x and A(x) have the
+    same order.  For a loop isomorphism A(e) is the target's identity.
+    """
+    n = len(t)
+    out = []
+    for x in range(n):
+        p, k = x, 1
+        while p != e and k <= n:
+            p = t[p][x]
+            k += 1
+        out.append(k)
+    return out
+
+
 def _closure(L: LoopTable, closed: frozenset, x: int, whole: frozenset) -> frozenset:
     """Smallest closed superset of closed | {x}, for a closed set closed.
 

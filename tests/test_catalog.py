@@ -73,6 +73,20 @@ class TestNormalize:
         assert M.table == validate_table(relabel(loop_3x3_shifted, phi.images)).table
 
 
+def _structured_and_order_7_loops() -> list:
+    """(Z2)^3, Z2 x Z4, Z8, and 200 reduced squares of order 7 drawn with a
+    fixed seed from the first 500 of 20 row-1 subtrees."""
+    z2_cubed = validate_table([[x ^ y for y in range(8)] for x in range(8)])
+    z2_z4 = validate_table([[(x ^ y) & 4 | (x + y) & 3 for y in range(8)] for x in range(8)])
+    rng = random.Random(7)
+    squares = [
+        raw
+        for row1 in rng.sample(catalog._second_rows(7), 20)
+        for raw, _ in itertools.islice(catalog._reduced_squares(7, row1), 500)
+    ]
+    return [z2_cubed, z2_z4, cyclic_loop(8), *map(validate_table, rng.sample(squares, 200))]
+
+
 class TestCanonicalForm:
     def test_one_form_per_isomorphism_class(self):
         # McKay, Meynert and Myrvold, "Small Latin squares, quasigroups and
@@ -87,6 +101,7 @@ class TestCanonicalForm:
     def test_form_is_the_loop_relabelled(self, loop_3x3_shifted):
         rng = random.Random(16)
         loops = [loop_3x3_shifted, *(e.loop for e in generate_loops(5))]
+        loops += _structured_and_order_7_loops()
         loops += [validate_table(relabel(L, rng.sample(range(L.n), L.n))) for L in loops]
         for L in loops:
             M, phi = canonical_form(L)
@@ -98,9 +113,19 @@ class TestCanonicalForm:
         rng = random.Random(2007)
         loops = [validate_table([[0]])] + [e.loop for n in range(2, 6) for e in generate_loops(n)]
         loops += rng.sample([e.loop for e in generate_loops(6, allow_order_six=True)], 200)
+        loops += _structured_and_order_7_loops()
         for L in loops:
             psi = rng.sample(range(L.n), L.n)
             assert canonical_form(validate_table(relabel(L, psi)))[0] == canonical_form(L)[0]
+
+    def test_z2_to_the_fourth_shares_its_form(self):
+        # Every non-identity element has order 2, so the form tries all
+        # 15 * 14 * 12 * 8 = |GL(4, 2)| generator sequences.
+        z2_fourth = validate_table([[x ^ y for y in range(16)] for x in range(16)])
+        M, phi = canonical_form(z2_fourth)
+        psi = random.Random(16).sample(range(16), 16)
+        assert canonical_form(validate_table(relabel(z2_fourth, psi)))[0] == M
+        assert law_holds(z2_fourth.table, M.table, phi.images, phi.images, phi.images)
 
 
 class TestGeneration:

@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import random
 from types import SimpleNamespace
@@ -216,17 +218,23 @@ class TestAutotopisms:
         assert len(isotopy.diagonal(aut)) == 168
 
 
-def test_both_searches_are_pinned():
-    # Every loop of orders 2-5 and one per isomorphism class of order 6,
-    # the first of its class in stream order, which does not depend on how
-    # the canonical form labels the class: 62 + 109 loops, sorted by order
-    # and table.  Each digest is over the repr of one list per loop,
-    # autotopism keys and automorphism images.
+@functools.cache
+def _pinned_loops() -> tuple:
+    """Every loop of orders 2-5 and one per isomorphism class of order 6,
+    the first of its class in stream order, which does not depend on how
+    the canonical form labels the class: 62 + 109 loops, sorted by order
+    and table."""
     loops = [e.loop for n in range(2, 6) for e in generate_loops(n)]
     firsts = {}
     for e in generate_loops(6, allow_order_six=True):
         firsts.setdefault(canonical_form(e.loop)[0], e.loop)
-    loops = sorted(loops + list(firsts.values()), key=lambda L: (L.n, L.table))
+    return tuple(sorted(loops + list(firsts.values()), key=lambda L: (L.n, L.table)))
+
+
+def test_both_searches_are_pinned():
+    # Each digest is over the repr of one list per loop, autotopism keys
+    # and automorphism images.
+    loops = _pinned_loops()
     assert len(loops) == 171
     auts = [[a.key() for a in autotopism_group(L)] for L in loops]
     isos = [[p.images for p in isomorphisms(L, L)] for L in loops]
@@ -236,6 +244,24 @@ def test_both_searches_are_pinned():
 
     assert digest(auts) == "34d9019cf71aed09a77a78b842fe74bd1a065ac1513963b1c78a6ec3e41b5140"
     assert digest(isos) == "11d0de709875349381f5bb4db85678ff132e4cbc5880b56ec95b6f856780a78d"
+
+
+def test_principal_isotopes_split_by_class_as_aut_predicts():
+    # Group the n^2 principal isotopes of L by canonical form, c_M of them
+    # isomorphic to M.  Then the c_M sum to n^2 and c_M * |Aut(M)| = |AUT(L)|
+    # for every M: the isotopy-class identity of ROADMAP item 4.
+    pairs = 0
+    for L in _pinned_loops():
+        n = L.n
+        counts = collections.Counter(
+            canonical_form(principal_isotope(L, f, g).result)[0] for f in range(n) for g in range(n)
+        )
+        assert sum(counts.values()) == n * n
+        aut = len(autotopism_group(L))
+        for M, c in counts.items():
+            assert c * len(isomorphisms(M, M)) == aut, (L.table, M.table)
+        pairs += len(counts)
+    assert pairs == 1053
 
 
 def _carried_keys(aut, record):
