@@ -209,9 +209,9 @@ def _isomorphism_search(t1: list, e1: int, order1: list, t2: list, e2: int) -> l
     product with an already-assigned point.  order1 must be the
     _power_orders of t1 at e1 (the caller computes it once per source), and
     A keeps it, read in t2 at A(e1) = e2 (see _power_orders), whether or
-    not e2 is the target's identity.  So the search
-    returns nothing when the two order multisets differ, and tries and
-    forces only images of the same order.
+    not e2 is the target's identity.  So the search returns nothing when
+    the two order multisets differ, and tries and forces only images of
+    the same order.
     """
     n = len(t1)
     order2 = _power_orders(t2, e2)
