@@ -8,7 +8,6 @@ table.  Expected counts: 1, 1, 4, 56, 9408 for orders 2 through 6.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -21,7 +20,7 @@ from typing import Iterator
 from .errors import InvariantViolation, OrderTooLarge, ParseError
 from .loop_core import (
     LoopTable,
-    _power_orders,
+    _labellings,
     format_row,
     format_table,
     parse_table,
@@ -64,56 +63,10 @@ class CatalogEntry:
 
 def canonical_form(L: LoopTable) -> tuple[LoopTable, Perm]:
     """(M, phi) with M = phi(L) and phi(L.e) = 0, where M is the same table
-    for every loop isomorphic to L.
-
-    phi labels the elements in the order a generator sequence reaches them
-    (G. L. Miller, "On the n^(log n) isomorphism technique", 1978).  The
-    sequence starts as [e, x1], x1 any non-identity element of the power
-    order (see _power_orders) that the fewest non-identity elements share,
-    the least such order on a tie.  It is closed: for i = 0, 1, ... over
-    the growing sequence and each j <= i, s_i*s_j and then s_j*s_i are
-    appended when new, which ends at the subloop generated.  Until that is
-    the whole loop, each element outside it in turn is appended and the
-    sequence closed again.  Each complete sequence s gives phi[s_k] = k,
-    and M is the lex-least phi(L).
-
-    A proper subloop has at most half the elements of its loop (see
-    _closure), so each generator at least doubles the subloop: there are
-    at most floor(log2 n) generators and (n-1)*n^(floor(log2 n)-1)
-    sequences.  An isomorphism psi keeps power orders and products, so it
-    carries the sequences of L onto those of psi(L) label for label, and
-    both give the same tables.  M is built from phi, so it is isomorphic
-    to L.
-    """
-    n, e, t = L.n, L.e, L.table
-    orders = _power_orders(t, e)
-    shared = collections.Counter(orders[x] for x in range(n) if x != e)
-    first = min(shared, key=lambda k: (shared[k], k), default=None)
-    best = None
-
-    def search(seq: list, label: list, i: int) -> None:
-        nonlocal best
-        while i < len(seq):
-            a = seq[i]
-            row = t[a]
-            for b in seq[:i + 1]:
-                for c in (row[b], t[b][a]):
-                    if label[c] < 0:
-                        label[c] = len(seq)
-                        seq.append(c)
-            i += 1
-        if i == n:
-            M = tuple([tuple([label[t[a][b]] for b in seq]) for a in seq])
-            if best is None or M < best[0]:
-                best = M, label
-        for x in range(n):
-            if label[x] < 0 and (i > 1 or orders[x] == first):
-                grown = label.copy()
-                grown[x] = i
-                search(seq + [x], grown, i)
-
-    search([e], [0 if x == e else -1 for x in range(n)], 0)
-    return LoopTable(best[0], 0), Perm(best[1])
+    for every loop isomorphic to L: the least table of loop_core._labellings
+    and the first labelling, in search order, that reaches it."""
+    M, phis = _labellings(L)
+    return LoopTable(M, 0), Perm(phis[0])
 
 
 def available_cpus() -> int:

@@ -3,13 +3,10 @@
 An autotopism of (G, *) is a triple (U, V, W) of permutations with
 U(x) * V(y) = W(x * y) for all x, y.  The diagonal case U = V = W is an
 automorphism.  With a = U(e) and b = V(e), U is an isomorphism of the
-loop onto its isotope p o q = (p * (a \\ (q * b))) / b, so autotopisms and
-isomorphisms come from one propagating backtracker; plain brute force lives
-in the test suite as an oracle.
-
-The backtracker prunes by right-power order, an isomorphism invariant
-(see loop_core._power_orders): a branch that maps x to an element of
-another order cannot lead to a solution.
+loop onto its isotope p o q = (p * (a \\ (q * b))) / b.  Isomorphisms are
+read off the labellings of the canonical-form search,
+loop_core._labellings, which is the one search in the library; plain brute
+force lives in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotSElements, NotSLoop, SearchCapExceeded
-from .loop_core import LoopTable, SLoopContext, SubgroupSet, _power_orders, validate_table
+from .loop_core import (
+    LoopTable,
+    SLoopContext,
+    SubgroupSet,
+    _labellings,
+    _power_orders,
+    validate_table,
+)
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
 
 DEFAULT_SEARCH_CAP = 10
@@ -138,9 +142,9 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
 
     Any autotopism satisfies W = U . R_b and V = L_a^-1 . W for a = U(e),
     b = V(e).  So U is an isomorphism of L onto the isotope
-    p o q = (p * (a \\ (q * b))) / b, whose identity is a, and the search is
-    one isomorphism search per pair (a, b).  That isotope's table is built
-    without validate_table: each row is a row of L with its columns permuted
+    p o q = (p * (a \\ (q * b))) / b, whose identity is a, read off the
+    labellings of the two loops.  That isotope's table is built without
+    validate_table: each row is a row of L with its columns permuted
     by q -> a \\ (q * b) and its symbols by r -> r / b, so it is a Latin
     square by construction.  It is built column-wise, by zip, which costs
     less than an entry-by-entry comprehension.
@@ -148,7 +152,7 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     n = L.n
     _check_cap(n, cap)
     t, ld, rd = L.table, L.ldiv, L.rdiv
-    orders = _power_orders(t, L.e)
+    orders = sorted(_power_orders(t, L.e))
     results = []
     for b in range(n):
         col_b = [row[b] for row in t]
@@ -157,8 +161,10 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
         for a in range(n):
             ld_a = ld[a]
             alpha = [ld_a[z] for z in col_b]  # q -> a \ (q * b)
-            target = list(zip(*[cols[q] for q in alpha]))
-            for u in _isomorphism_search(t, L.e, orders, target, a):
+            target = tuple(zip(*[cols[q] for q in alpha]))
+            if sorted(_power_orders(target, a)) != orders:
+                continue
+            for u in _isomorphism_images(L, LoopTable(target, a)):
                 w = tuple([col_b[x] for x in u])
                 v = tuple([ld_a[z] for z in w])
                 if not law_holds(t, t, u, v, w):
@@ -200,79 +206,18 @@ def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list
     return out
 
 
-def _isomorphism_search(t1: list, e1: int, order1: list, t2: list, e2: int) -> list[tuple]:
-    """Image tuples of every bijection A with A(x * y) = A(x) * A(y), the
-    left-hand product read in t1 and the right-hand one in t2, in
-    lexicographic order.
-
-    A(e1) = e2 is pinned, and each assignment forces the image of every
-    product with an already-assigned point.  order1 must be the
-    _power_orders of t1 at e1 (the caller computes it once per source), and
-    A keeps it, read in t2 at A(e1) = e2 (see _power_orders), whether or
-    not e2 is the target's identity.  So the search returns nothing when
-    the two order multisets differ, and tries and forces only images of
-    the same order.
+def _isomorphism_images(L1: LoopTable, L2: LoopTable) -> list[tuple]:
+    """Image tuples of every isomorphism of L1 onto L2, in search order:
+    none when their tables M differ, else psi^-1 o phi for psi one
+    labelling of L2 and each labelling phi of L1.  Each isomorphism A
+    arises once, from phi = psi o A, the labelling of A^-1(psi's sequence).
     """
-    n = len(t1)
-    order2 = _power_orders(t2, e2)
-    if sorted(order1) != sorted(order2):
+    M1, phis = _labellings(L1)
+    M2, psis = _labellings(L2)
+    if M1 != M2:
         return []
-    candidates = {}
-    for v, k in enumerate(order2):
-        candidates.setdefault(k, []).append(v)
-    img = [-1] * n
-    used = [False] * n
-    done = []  # assigned points whose products with each other are forced
-    found = []
-
-    def assign(x: int, v: int, trail: list) -> bool:
-        img[x] = v
-        used[v] = True
-        trail.append(x)
-        queue = [x]
-        while queue:
-            x = queue.pop()
-            done.append(x)
-            v = img[x]
-            row_x, row_v = t1[x], t2[v]
-            for y in done:
-                w = img[y]
-                # x * y and y * x have forced images; compare before pushing.
-                for z, r in ((row_x[y], row_v[w]), (t1[y][x], t2[w][v])):
-                    c = img[z]
-                    if c != r:
-                        if c != -1 or used[r] or order1[z] != order2[r]:
-                            return False
-                        img[z] = r
-                        used[r] = True
-                        trail.append(z)
-                        queue.append(z)
-        return True
-
-    def dfs() -> None:
-        x = -1
-        for i in range(n):
-            if img[i] == -1:
-                x = i
-                break
-        if x == -1:
-            found.append(tuple(img))
-            return
-        mark = len(done)
-        for v in candidates[order1[x]]:
-            if used[v]:
-                continue
-            trail = []
-            if assign(x, v, trail):
-                dfs()
-            for p in trail:
-                used[img[p]] = False
-                img[p] = -1
-            del done[mark:]
-
-    if assign(e1, e2, []):
-        dfs()
-    return found
+    back = sorted(range(L2.n), key=psis[0].__getitem__)  # back[k] = psi^-1(k)
+    return [tuple([back[k] for k in phi]) for phi in phis]
 
 
 def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
@@ -282,7 +227,7 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
     _check_cap(L1.n, cap)
     t1, t2 = L1.table, L2.table
     found = []
-    for img in _isomorphism_search(t1, L1.e, _power_orders(t1, L1.e), t2, L2.e):
+    for img in sorted(_isomorphism_images(L1, L2)):
         if not law_holds(t1, t2, img, img, img):
             raise InvariantViolation(f"search produced a non-isomorphism {list(img)}")
         found.append(Perm._unchecked(img))
@@ -290,8 +235,8 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
 
 
 def automorphism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
-    """All A with (A, A, A) an autotopism of L: the diagonal of AUT."""
-    return diagonal(autotopism_group(L, cap=cap))
+    """All A with (A, A, A) an autotopism of L, sorted: isomorphisms(L, L)."""
+    return isomorphisms(L, L, cap=cap)
 
 
 def diagonal(aut: list[Autotopism]) -> list[Perm]:

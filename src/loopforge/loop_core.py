@@ -7,6 +7,7 @@ instance is a loop; associativity is recorded but not required.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,11 +18,11 @@ from .perm import Perm
 class LoopTable:
     """Validated n x n Cayley table.  Immutable; build via validate_table.
 
-    Division tables and the associativity flag are derived on first read:
-    ldiv[a][b] solves a*y = b and rdiv[b][a] solves x*a = b.
+    Division tables, the associativity flag and _labellings are derived on
+    first read: ldiv[a][b] solves a*y = b and rdiv[b][a] solves x*a = b.
     """
 
-    __slots__ = ("n", "table", "e", "_associative", "_ldiv", "_rdiv")
+    __slots__ = ("n", "table", "e", "_associative", "_ldiv", "_rdiv", "_labelled")
 
     def __init__(self, table: tuple, e: int):
         self.table = table
@@ -30,6 +31,7 @@ class LoopTable:
         self._associative = None
         self._ldiv = None
         self._rdiv = None
+        self._labelled = None
 
     @property
     def associative(self) -> bool:
@@ -207,11 +209,11 @@ def _power_orders(t: Sequence[Sequence[int]], e: int) -> list[int]:
     """For each x, the least k <= n with x^k = e in t, where x^1 = x and
     x^(k+1) = x^k * x; n + 1 when there is no such k.
 
-    This right-power order is an isomorphism invariant.  Let A be a
-    bijection with A(x * y) = A(x) o A(y) onto a table t2, with orders read
-    in t2 at A(e).  Then A(x^k) = A(x)^k by induction on k, and A is
-    injective, so x^k = e exactly when A(x)^k = A(e): x and A(x) have the
-    same order.  For a loop isomorphism A(e) is the target's identity.
+    This right-power order is an isomorphism invariant: an isomorphism A
+    has A(x^k) = A(x)^k by induction on k, and is injective, so x^k = e
+    exactly when A(x)^k = A(e), the target's identity.  _labellings draws
+    its first generator by these orders, and autotopism_group rejects a
+    target whose sorted orders differ from the source's before labelling it.
     """
     n = len(t)
     out = []
@@ -253,6 +255,76 @@ def _closure(L: LoopTable, closed: frozenset, x: int, whole: frozenset) -> froze
                         fresh.append(c)
         frontier = fresh
     return frozenset(elems)
+
+
+def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
+    """(M, phis): the least table M = phi(L) over the labellings phi below,
+    and every phi that reaches it, as image lists in search order; phi(e)
+    is 0.  M is the same table for every loop isomorphic to L.  Cached on L.
+
+    phi labels the elements in the order a generator sequence reaches them
+    (G. L. Miller, "On the n^(log n) isomorphism technique", 1978).  The
+    sequence starts as [e, x1], x1 any non-identity element of the power
+    order (see _power_orders) that the fewest non-identity elements share,
+    the least such order on a tie.  It is closed: for i = 0, 1, ... over
+    the growing sequence and each j <= i, s_i*s_j and then s_j*s_i are
+    appended when new, which ends at the subloop generated.  Until that is
+    the whole loop, each element outside it in turn is appended and the
+    sequence closed again.  Each complete sequence s gives phi[s_k] = k,
+    and phi(L) is built row by row up to the first row above M's so far.
+    Each generator at least doubles the subloop (see _closure), so there
+    are at most floor(log2 n) generators and (n-1)*n^(floor(log2 n)-1)
+    sequences.  An isomorphism psi keeps power orders and products, so it
+    carries the sequences of L onto those of psi(L) label for label.
+
+    phis is phis[0] o Aut(L) (B. D. McKay, "Practical graph isomorphism",
+    1981): if phi(L) = phi'(L) = M, then phi'^-1 o phi is in Aut(L), and
+    each alpha in Aut(L) carries sequences onto sequences, so phis[0] o
+    alpha, the labelling of alpha^-1(phis[0]'s sequence), is reached too.
+    """
+    if L._labelled is not None:
+        return L._labelled
+    n, e, t = L.n, L.e, L.table
+    cols = tuple(zip(*t))
+    orders = _power_orders(t, e)
+    shared = collections.Counter(orders[x] for x in range(n) if x != e)
+    first = min(shared, key=lambda k: (shared[k], k), default=None)
+    best = []  # rows of M found so far
+    phis = []
+
+    def search(seq: list, label: list, i: int) -> None:
+        while i < len(seq):
+            row, col = t[seq[i]], cols[seq[i]]
+            for b in seq[:i + 1]:
+                c = row[b]
+                if label[c] < 0:
+                    label[c] = len(seq)
+                    seq.append(c)
+                c = col[b]
+                if label[c] < 0:
+                    label[c] = len(seq)
+                    seq.append(c)
+            i += 1
+        if i == n:
+            r = 1 if best else 0  # row 0 of every phi(L) is 0..n-1
+            while r < len(best) and (row := tuple([label[t[seq[r]][b]] for b in seq])) == best[r]:
+                r += 1
+            if r < len(best) and row > best[r]:
+                return
+            if r < n:  # a new least table, from row r on
+                best[r:] = [tuple([label[t[a][b]] for b in seq]) for a in seq[r:]]
+                phis.clear()
+            phis.append(label)
+            return
+        for x in range(n):
+            if label[x] < 0 and (i > 1 or orders[x] == first):
+                grown = label.copy()
+                grown[x] = i
+                search(seq + [x], grown, i)
+
+    search([e], [0 if x == e else -1 for x in range(n)], 0)
+    L._labelled = tuple(best), phis
+    return L._labelled
 
 
 def subgroups(L: LoopTable) -> list[SubgroupSet]:

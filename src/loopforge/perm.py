@@ -27,13 +27,12 @@ class Perm:
         """A Perm on an image tuple the library already knows to be a
         permutation, skipping the O(n log n) check every other caller gets.
 
-        The library knows it in three ways.  A search result assigns each
-        point an image no other point has, so it is injective on a finite
-        set.  A composite or inverse of permutations is one.  A triple that
-        passes the autotopism law with W a permutation, on a Latin table,
-        has U and V injective, hence bijective: U(x) = U(x') gives
-        W(x * y) = W(x' * y), so x * y = x' * y for every y and x = x'; V
-        likewise.
+        The library knows it in two ways.  A composite or inverse of
+        permutations is one, such as a found isomorphism psi^-1 o phi of two
+        labellings.  A triple that passes the autotopism law with W a
+        permutation, on a Latin table, has U and V injective, hence
+        bijective: U(x) = U(x') gives W(x * y) = W(x' * y), so
+        x * y = x' * y for every y and x = x'; V likewise.
         """
         p = object.__new__(cls)
         p.images = images

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -217,6 +218,30 @@ class TestAutotopisms:
         assert len({a.w for a in aut}) == 1344
         assert len(isotopy.diagonal(aut)) == 168
 
+    def test_frozen_sizes_for_chein_s3(self):
+        # Chein's Moufang loop M(S3, 2) of order 12: G u Gu with
+        # g(hu) = (hg)u, (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g.
+        group = list(itertools.permutations(range(3)))
+        index = {g: i for i, g in enumerate(group)}
+
+        def mul(g, h):
+            return index[tuple(g[x] for x in h)]
+
+        def inv(g):
+            return tuple(sorted(range(3), key=g.__getitem__))
+
+        def product(x, y):
+            g, h = group[x % 6], group[y % 6]
+            if x < 6:
+                return mul(g, h) if y < 6 else 6 + mul(h, g)
+            return 6 + mul(g, inv(h)) if y < 6 else mul(inv(h), g)
+
+        m_s3 = validate_table([[product(x, y) for y in range(12)] for x in range(12)])
+        assert not m_s3.associative
+        aut = autotopism_group(m_s3, cap=12)
+        assert len(aut) == 15552
+        assert len(isotopy.diagonal(aut)) == 108
+
 
 @functools.cache
 def _pinned_loops() -> tuple:
@@ -229,6 +254,16 @@ def _pinned_loops() -> tuple:
     for e in generate_loops(6, allow_order_six=True):
         firsts.setdefault(canonical_form(e.loop)[0], e.loop)
     return tuple(sorted(loops + list(firsts.values()), key=lambda L: (L.n, L.table)))
+
+
+def _order_6_twins() -> list:
+    """Consecutive pairs, in _pinned_loops order, of order-6 class
+    representatives with the same sorted power orders."""
+    by_orders = collections.defaultdict(list)
+    for L in _pinned_loops():
+        if L.n == 6:
+            by_orders[tuple(sorted(loop_core._power_orders(L.table, L.e)))].append(L)
+    return [pair for group in by_orders.values() for pair in zip(group, group[1:])]
 
 
 def test_both_searches_are_pinned():
@@ -321,8 +356,24 @@ class TestIsomorphisms:
         for entry in generate_loops(5):
             L = entry.loop
             pairs += [(L, principal_isotope(L, f, g).result) for f in range(5) for g in range(5)]
+        # Order-6 classes that share a power-order multiset pass the
+        # pre-test, so only their labellings can tell them apart.
+        twins = _order_6_twins()
+        assert len(twins) == 79
+        pairs += twins
+        # Isotopes with identity 2 * 3, which is not 0.
+        isotopes = [(L1, principal_isotope(L2, 2, 3).result) for L1, L2 in twins[:6]]
+        isotopes = [(L1, L2) for L1, L2 in isotopes if L2.e != 0]
+        assert len(isotopes) == 5
+        pairs += isotopes
         for L1, L2 in pairs:
             assert [p.images for p in isomorphisms(L1, L2)] == brute_isomorphisms(L1, L2)
+
+    def test_labellings_that_reach_the_form_count_the_automorphisms(self):
+        for n in range(2, 6):
+            for entry in generate_loops(n):
+                L = entry.loop
+                assert len(loop_core._labellings(L)[1]) == len(brute_isomorphisms(L, L))
 
     def test_automorphism_groups(self, z4, z5, klein, n5):
         assert [p.images for p in automorphism_group(z4)] == [(0, 1, 2, 3), (0, 3, 2, 1)]

@@ -1,8 +1,9 @@
-"""Planted defects: each one must turn its check key to fail.
+"""Planted defects: each one must turn its check key to fail, or raise.
 
 A check that reads pass whatever the code computes shows nothing, so each
 test monkeypatches one plausible defect into the derivation a key guards and
-asserts that the key reads fail on every report of the named loops.
+asserts that the key reads fail on every report of the named loops.  A
+defect in AUT itself must trip autotopism_group's closure check.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from loopforge import (
     Perm,
     autotopism_group,
     cyclic_loop,
+    isotopy,
     ker_phi,
     klein_four,
     n5_loop,
@@ -55,6 +57,20 @@ def test_t8_catches_a_lost_isomorphism(name, monkeypatch):
     real = sbs.isomorphisms
     monkeypatch.setattr(sbs, "isomorphisms", lambda L1, L2, cap: real(L1, L2, cap=cap)[:-1])
     assert set(_statuses(name, "t8")) == {"fail"}
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_aut_closure_catches_a_lost_labelling(name, monkeypatch):
+    # Each pair (a, b) then yields one automorphism too few.
+    real = isotopy._labellings
+
+    def without_last(L):
+        M, phis = real(L)
+        return M, phis[:-1]
+
+    monkeypatch.setattr(isotopy, "_labellings", without_last)
+    with pytest.raises(InvariantViolation, match="autotopism set is not a group"):
+        verify_theorems(LOOPS[name]())
 
 
 def test_t13_catches_swapped_isotopy_parameters(monkeypatch):
