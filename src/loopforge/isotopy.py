@@ -152,7 +152,6 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     n = L.n
     _check_cap(n, cap)
     t, ld, rd = L.table, L.ldiv, L.rdiv
-    orders = sorted(_power_orders(t, L.e))
     results = []
     for b in range(n):
         col_b = [row[b] for row in t]
@@ -162,8 +161,6 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
             ld_a = ld[a]
             alpha = [ld_a[z] for z in col_b]  # q -> a \ (q * b)
             target = tuple(zip(*[cols[q] for q in alpha]))
-            if sorted(_power_orders(target, a)) != orders:
-                continue
             for u in _isomorphism_images(L, LoopTable(target, a)):
                 w = tuple([col_b[x] for x in u])
                 v = tuple([ld_a[z] for z in w])
@@ -208,10 +205,13 @@ def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list
 
 def _isomorphism_images(L1: LoopTable, L2: LoopTable) -> list[tuple]:
     """Image tuples of every isomorphism of L1 onto L2, in search order:
-    none when their tables M differ, else psi^-1 o phi for psi one
-    labelling of L2 and each labelling phi of L1.  Each isomorphism A
+    none when their sorted power orders differ, checked before either loop
+    is labelled, or when their tables M differ; else psi^-1 o phi for psi
+    one labelling of L2 and each labelling phi of L1.  Each isomorphism A
     arises once, from phi = psi o A, the labelling of A^-1(psi's sequence).
     """
+    if sorted(_power_orders(L1.table, L1.e)) != sorted(_power_orders(L2.table, L2.e)):
+        return []
     M1, phis = _labellings(L1)
     M2, psis = _labellings(L2)
     if M1 != M2:
@@ -237,11 +237,6 @@ def isomorphisms(L1: LoopTable, L2: LoopTable, cap: int = DEFAULT_SEARCH_CAP) ->
 def automorphism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
     """All A with (A, A, A) an autotopism of L, sorted: isomorphisms(L, L)."""
     return isomorphisms(L, L, cap=cap)
-
-
-def diagonal(aut: list[Autotopism]) -> list[Perm]:
-    """The automorphisms among a list of autotopisms, in list order."""
-    return [a.w for a in aut if a.u == a.v == a.w]
 
 
 def s_isomorphisms(

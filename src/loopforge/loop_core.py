@@ -212,8 +212,9 @@ def _power_orders(t: Sequence[Sequence[int]], e: int) -> list[int]:
     This right-power order is an isomorphism invariant: an isomorphism A
     has A(x^k) = A(x)^k by induction on k, and is injective, so x^k = e
     exactly when A(x)^k = A(e), the target's identity.  _labellings draws
-    its first generator by these orders, and autotopism_group rejects a
-    target whose sorted orders differ from the source's before labelling it.
+    its first generator by these orders, and isotopy._isomorphism_images
+    returns no isomorphism between two loops whose sorted orders differ
+    before labelling either.
     """
     n = len(t)
     out = []

@@ -9,12 +9,13 @@ onto its third component is a homomorphism onto SBS whose kernel is pinned
 by the middle nucleus.
 
 Every autotopism (U, V, W) has this special shape with theta = W and
-witness (f, g) = (U(e), V(e)), so all of these objects are projections or
-filters of one autotopism_group result, which _derive computes once per
-subgroup for the _CHECKS table and the public projections.  The groups come
-back as sorted lists of Perm, omega and its kernel as lists of Autotopism
-whose witness is read off as (a.u.images[e], a.v.images[e]), and
-special_witnesses as (f, g) pairs.
+witness (f, g) = (U(e), V(e)), so BS, SBS, omega and the kernel are
+projections or filters of one autotopism_group result, and SA filters
+automorphism_group's; _derive computes them once per subgroup for the
+_CHECKS table and the public projections.  The groups come back as sorted
+lists of Perm, omega and its kernel as lists of Autotopism whose witness
+is read off as (a.u.images[e], a.v.images[e]), and special_witnesses as
+(f, g) pairs.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .isotopy import (
     _check_cap,
     autotopism_group,
     autotopism_set_violation,
+    automorphism_group,
     carry_autotopisms,
-    diagonal,
     isomorphisms,
     law_holds,
     principal_isotope,
@@ -126,9 +127,9 @@ def _result(ok: bool, detail: str) -> CheckResult:
 @dataclass(frozen=True)
 class _Base:
     """What every subgroup of one loop shares: AUT, what is read off it,
-    and per-(f, g) memos, so subgroups holding f and g share them.  isotopes
-    holds (record, isomorphisms onto it); t12_1 fills round_trips and t13
-    fills carried as they first ask."""
+    AUM, and per-(f, g) memos, so subgroups holding f and g share them.
+    isotopes holds (record, isomorphisms onto it); t12_1 fills round_trips
+    and t13 fills carried as they first ask."""
 
     loop: LoopTable
     cap: int
@@ -146,7 +147,7 @@ def _base(L: LoopTable, cap: int) -> _Base:
     aut = autotopism_group(L, cap=cap)
     return _Base(
         L, cap, aut, [a.key() for a in aut], frozenset(a.w.images for a in aut),
-        diagonal(aut), frozenset(middle_nucleus(L).elements), {}, {}, {},
+        automorphism_group(L, cap=cap), frozenset(middle_nucleus(L).elements), {}, {}, {},
     )
 
 

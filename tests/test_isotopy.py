@@ -216,7 +216,7 @@ class TestAutotopisms:
         aut = autotopism_group(z2_cubed)
         assert len(aut) == 10752
         assert len({a.w for a in aut}) == 1344
-        assert len(isotopy.diagonal(aut)) == 168
+        assert sum(a.u == a.v == a.w for a in aut) == 168
 
     def test_frozen_sizes_for_chein_s3(self):
         # Chein's Moufang loop M(S3, 2) of order 12: G u Gu with
@@ -240,7 +240,7 @@ class TestAutotopisms:
         assert not m_s3.associative
         aut = autotopism_group(m_s3, cap=12)
         assert len(aut) == 15552
-        assert len(isotopy.diagonal(aut)) == 108
+        assert sum(a.u == a.v == a.w for a in aut) == 108
 
 
 @functools.cache
@@ -279,6 +279,39 @@ def test_both_searches_are_pinned():
 
     assert digest(auts) == "34d9019cf71aed09a77a78b842fe74bd1a065ac1513963b1c78a6ec3e41b5140"
     assert digest(isos) == "11d0de709875349381f5bb4db85678ff132e4cbc5880b56ec95b6f856780a78d"
+
+
+def test_automorphisms_are_the_diagonal_of_aut():
+    # AUM comes from isomorphisms(L, L), AUT from the isotope searches; the
+    # diagonal triples (A, A, A) of AUT, in AUT's order, must be the same list.
+    for L in _pinned_loops():
+        diagonal = [a.w for a in autotopism_group(L) if a.u == a.v == a.w]
+        assert automorphism_group(L) == diagonal, L.table
+
+
+def test_differing_power_orders_are_rejected_before_labelling(monkeypatch):
+    # Z6 has an element of order 6 and S3 none, so S3 is never labelled;
+    # Z6 with 0 and 1 swapped shares Z6's orders and is labelled as before.
+    z6 = cyclic_loop(6)
+    group = list(itertools.permutations(range(3)))
+    s3 = validate_table([[group.index(tuple(g[x] for x in h)) for h in group] for g in group])
+    swap = (1, 0, 2, 3, 4, 5)
+    relabelled = validate_table(
+        [[swap[(swap[x] + swap[y]) % 6] for y in range(6)] for x in range(6)]
+    )
+    labelled = []
+    real = isotopy._labellings
+
+    def counted(L):
+        labelled.append(L)
+        return real(L)
+
+    monkeypatch.setattr(isotopy, "_labellings", counted)
+    assert isomorphisms(z6, s3) == []
+    assert not any(L is s3 for L in labelled)
+    found = isomorphisms(z6, relabelled)
+    assert [p.images for p in found] == brute_isomorphisms(z6, relabelled) != []
+    assert any(L is relabelled for L in labelled)
 
 
 def test_principal_isotopes_split_by_class_as_aut_predicts():

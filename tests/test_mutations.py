@@ -224,8 +224,8 @@ def test_c11_catches_a_skipped_stabilizer_filter(monkeypatch):
 
 
 def test_c23_catches_a_lost_automorphism(monkeypatch):
-    real = sbs.diagonal
-    monkeypatch.setattr(sbs, "diagonal", lambda aut: real(aut)[:-1])
+    real = sbs.automorphism_group
+    monkeypatch.setattr(sbs, "automorphism_group", lambda L, cap: real(L, cap=cap)[:-1])
     assert _statuses("Z4", "c23") == ["fail"]
 
 
