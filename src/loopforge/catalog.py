@@ -13,7 +13,7 @@ import functools
 import itertools
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterator
 
@@ -47,18 +47,20 @@ def content_id(L: LoopTable) -> str:
     return f"{_fnv_fold(FNV_OFFSET, format_table(L).encode('ascii')):016x}"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(namedtuple("CatalogEntry", "loop associative s_subgroup_count entry_id")):
     """A normalized loop plus the flags recorded in the catalog index."""
 
-    loop: LoopTable
-    associative: bool
-    s_subgroup_count: int
-    entry_id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.loop.e != 0:
+    def __new__(cls, loop: LoopTable, associative: bool, s_subgroup_count: int, entry_id: str):
+        if loop.e != 0:
             raise InvariantViolation("catalog entries must be normalized")
+        return super().__new__(cls, loop, associative, s_subgroup_count, entry_id)
+
+    @classmethod
+    def _make(cls, fields):
+        """Built through __new__, so that _replace checks the fields too."""
+        return cls(*fields)
 
 
 def canonical_form(L: LoopTable) -> tuple[LoopTable, Perm]:

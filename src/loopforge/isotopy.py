@@ -11,7 +11,7 @@ force lives in the test suite as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantViolation, NotSElements, NotSLoop, SearchCapExceeded
 from .loop_core import (
@@ -19,7 +19,7 @@ from .loop_core import (
     SLoopContext,
     SubgroupSet,
     _labellings,
-    _power_orders,
+    _orders_of,
     validate_table,
 )
 from .perm import Perm, compose, compose_images, group_violation, identity, inverse
@@ -52,13 +52,10 @@ def law_holds(t1, t2, u, v, w) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Autotopism:
+class Autotopism(namedtuple("Autotopism", "u v w")):
     """Permutation triple (u, v, w) with u(x) * v(y) = w(x * y)."""
 
-    u: Perm
-    v: Perm
-    w: Perm
+    __slots__ = ()
 
     def key(self) -> tuple:
         return (self.u.images, self.v.images, self.w.images)
@@ -90,14 +87,10 @@ def autotopism_set_violation(auts, n: int) -> str | None:
     )
 
 
-@dataclass(frozen=True)
-class PrincipalIsotopeRecord:
+class PrincipalIsotopeRecord(namedtuple("PrincipalIsotopeRecord", "source f g result")):
     """A source loop, the pair (f, g), and the resulting isotope."""
 
-    source: LoopTable
-    f: int
-    g: int
-    result: LoopTable
+    __slots__ = ()
 
 
 def principal_isotope(L: LoopTable, f: int, g: int) -> PrincipalIsotopeRecord:
@@ -210,7 +203,7 @@ def _isomorphism_images(L1: LoopTable, L2: LoopTable) -> list[tuple]:
     one labelling of L2 and each labelling phi of L1.  Each isomorphism A
     arises once, from phi = psi o A, the labelling of A^-1(psi's sequence).
     """
-    if sorted(_power_orders(L1.table, L1.e)) != sorted(_power_orders(L2.table, L2.e)):
+    if sorted(_orders_of(L1)) != sorted(_orders_of(L2)):
         return []
     M1, phis = _labellings(L1)
     M2, psis = _labellings(L2)

@@ -8,7 +8,6 @@ instance is a loop; associativity is recorded but not required.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NoIdentity, NotLatin, NotSLoop, NotSquare, ParseError
@@ -18,11 +17,12 @@ from .perm import Perm
 class LoopTable:
     """Validated n x n Cayley table.  Immutable; build via validate_table.
 
-    Division tables, the associativity flag and _labellings are derived on
-    first read: ldiv[a][b] solves a*y = b and rdiv[b][a] solves x*a = b.
+    Division tables, the associativity flag, _orders_of and _labellings are
+    derived on first read: ldiv[a][b] solves a*y = b and rdiv[b][a] solves
+    x*a = b.
     """
 
-    __slots__ = ("n", "table", "e", "_associative", "_ldiv", "_rdiv", "_labelled")
+    __slots__ = ("n", "table", "e", "_associative", "_ldiv", "_rdiv", "_orders", "_labelled")
 
     def __init__(self, table: tuple, e: int):
         self.table = table
@@ -31,6 +31,7 @@ class LoopTable:
         self._associative = None
         self._ldiv = None
         self._rdiv = None
+        self._orders = None
         self._labelled = None
 
     @property
@@ -180,20 +181,45 @@ def is_subgroup(L: LoopTable, elements: Iterable[int]) -> bool:
     return subgroup_violation(L, elements) is None
 
 
-@dataclass(frozen=True)
 class SubgroupSet:
     """A subset certified on construction to form a group inside its loop;
-    any other subset raises NotSLoop("not a subgroup: <violation>")."""
+    any other subset raises NotSLoop("not a subgroup: <violation>").
 
-    elements: tuple
-    parent: LoopTable
+    Its fields, elements (sorted) and parent, are read-only; equality and
+    hashing go by them.  It is not a tuple, since len, iteration and
+    membership run over the elements.
+    """
 
-    def __post_init__(self):
-        sset = set(self.elements)
-        object.__setattr__(self, "elements", tuple(sorted(sset)))
-        violation = _violation(self.parent, sset, self.elements)
+    __slots__ = ("elements", "parent")
+
+    def __init__(self, elements: Iterable[int], parent: LoopTable):
+        sset = set(elements)
+        s = tuple(sorted(sset))
+        violation = _violation(parent, sset, s)
         if violation is not None:
             raise NotSLoop(f"not a subgroup: {violation}")
+        object.__setattr__(self, "elements", s)
+        object.__setattr__(self, "parent", parent)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SubgroupSet:
+            return NotImplemented
+        return self.elements == other.elements and self.parent == other.parent
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.parent))
+
+    def __repr__(self) -> str:
+        return f"SubgroupSet(elements={self.elements!r}, parent={self.parent!r})"
+
+    def __reduce__(self):
+        return SubgroupSet, (self.elements, self.parent)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -214,7 +240,7 @@ def _power_orders(t: Sequence[Sequence[int]], e: int) -> list[int]:
     exactly when A(x)^k = A(e), the target's identity.  _labellings draws
     its first generator by these orders, and isotopy._isomorphism_images
     returns no isomorphism between two loops whose sorted orders differ
-    before labelling either.
+    before labelling either; both read them through _orders_of.
     """
     n = len(t)
     out = []
@@ -225,6 +251,13 @@ def _power_orders(t: Sequence[Sequence[int]], e: int) -> list[int]:
             k += 1
         out.append(k)
     return out
+
+
+def _orders_of(L: LoopTable) -> tuple:
+    """_power_orders of L's table, computed once per LoopTable."""
+    if L._orders is None:
+        L._orders = tuple(_power_orders(L.table, L.e))
+    return L._orders
 
 
 def _closure(L: LoopTable, closed: frozenset, x: int, whole: frozenset) -> frozenset:
@@ -287,7 +320,7 @@ def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
         return L._labelled
     n, e, t = L.n, L.e, L.table
     cols = tuple(zip(*t))
-    orders = _power_orders(t, e)
+    orders = _orders_of(L)
     shared = collections.Counter(orders[x] for x in range(n) if x != e)
     first = min(shared, key=lambda k: (shared[k], k), default=None)
     best = []  # rows of M found so far
@@ -396,18 +429,22 @@ def middle_nucleus(L: LoopTable) -> SubgroupSet:
     return SubgroupSet(tuple(members), L)
 
 
-@dataclass(frozen=True)
-class SLoopContext:
+class SLoopContext(collections.namedtuple("SLoopContext", "loop h")):
     """A loop paired with a chosen proper non-trivial subgroup."""
 
-    loop: LoopTable
-    h: SubgroupSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h.parent != self.loop:
+    def __new__(cls, loop: LoopTable, h: SubgroupSet):
+        if h.parent != loop:
             raise NotSLoop("subgroup belongs to a different loop")
-        if not 2 <= len(self.h) < self.loop.n:
-            raise NotSLoop(f"subgroup size {len(self.h)} not in 2..{self.loop.n - 1}")
+        if not 2 <= len(h) < loop.n:
+            raise NotSLoop(f"subgroup size {len(h)} not in 2..{loop.n - 1}")
+        return super().__new__(cls, loop, h)
+
+    @classmethod
+    def _make(cls, fields):
+        """Built through __new__, so that _replace checks the fields too."""
+        return cls(*fields)
 
 
 def s_loop_context(L: LoopTable, elements: Iterable[int]) -> SLoopContext:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import DegreeMismatch, InvariantViolation, NotSLoop
 from .isotopy import (
@@ -111,10 +111,10 @@ def _theta_of(isos: list[tuple], hset) -> list[tuple[int, int]]:
     return [pair for pair, _, found in isos if any(_keeps(a, hset) for a in found)]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # "pass" | "fail" | "n/a"
-    detail: str
+class CheckResult(namedtuple("CheckResult", "status detail")):
+    """status is "pass", "fail" or "n/a"; detail says what was compared."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"status": self.status, "detail": self.detail}
@@ -124,23 +124,15 @@ def _result(ok: bool, detail: str) -> CheckResult:
     return CheckResult("pass" if ok else "fail", detail)
 
 
-@dataclass(frozen=True)
-class _Base:
-    """What every subgroup of one loop shares: AUT, what is read off it,
-    AUM, and per-(f, g) memos, so subgroups holding f and g share them.
-    isotopes holds (record, isomorphisms onto it); t12_1 fills round_trips
-    and t13 fills carried as they first ask."""
+class _Base(namedtuple(
+    "_Base", "loop cap aut keys bs aum nucleus isotopes round_trips carried"
+)):
+    """What every subgroup of one loop shares: AUT, its keys and BS read off
+    it, AUM, the middle nucleus, and per-(f, g) memos, so subgroups holding
+    f and g share them.  isotopes holds (record, isomorphisms onto it);
+    t12_1 fills round_trips and t13 fills carried as they first ask."""
 
-    loop: LoopTable
-    cap: int
-    aut: list[Autotopism]
-    keys: list[tuple]
-    bs: frozenset
-    aum: list[Perm]
-    nucleus: frozenset
-    isotopes: dict
-    round_trips: dict
-    carried: dict
+    __slots__ = ()
 
 
 def _base(L: LoopTable, cap: int) -> _Base:
@@ -151,25 +143,14 @@ def _base(L: LoopTable, cap: int) -> _Base:
     )
 
 
-@dataclass(frozen=True)
-class _Subgroup:
+class _Subgroup(namedtuple(
+    "_Subgroup",
+    "h hset ssym omega omega_violation sbs sa isos theta ker kernel n_mu_cap_h gs_loop criterion",
+)):
     """Every object the checks compare for one subgroup H; sbs holds image
     tuples, and omega_violation and kernel are t15's and t17's outcomes."""
 
-    h: tuple
-    hset: frozenset
-    ssym: int
-    omega: list[Autotopism]
-    omega_violation: str | None
-    sbs: frozenset
-    sa: list[Perm]
-    isos: list[tuple]
-    theta: list[tuple[int, int]]
-    ker: list[Autotopism]
-    kernel: CheckResult
-    n_mu_cap_h: int
-    gs_loop: bool
-    criterion: bool
+    __slots__ = ()
 
 
 def _derive(b: _Base, hsub) -> _Subgroup:
@@ -432,41 +413,25 @@ _CHECKS = (
 CHECK_KEYS = tuple(key for key, _ in _CHECKS)
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(namedtuple(
+    "CardinalityReport",
+    "subgroup order h bs sbs ssym aum sa aut omega theta n_mu n_mu_cap_h ker_phi checks",
+)):
     """Sizes of every derived group and set for one subgroup choice."""
 
-    subgroup: tuple
-    order: int
-    h: int
-    bs: int
-    sbs: int
-    ssym: int
-    aum: int
-    sa: int
-    aut: int
-    omega: int
-    theta: int
-    n_mu: int
-    n_mu_cap_h: int
-    ker_phi: int
-    checks: dict
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """Every field but the subgroup, which the report lists separately."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "subgroup"}
+        doc = {name: value for name, value in zip(self._fields, self) if name != "subgroup"}
         doc["checks"] = {k: v.to_json_dict() for k, v in self.checks.items()}
         return doc
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(namedtuple("AggregateReport", "order s_subgroup_count bs checks")):
     """Whole-loop summary: the averaged index formula over all subgroups."""
 
-    order: int
-    s_subgroup_count: int
-    bs: int
-    checks: dict
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         checks = {k: v.to_json_dict() for k, v in self.checks.items()}
@@ -474,10 +439,10 @@ class AggregateReport:
                 "checks": checks}
 
 
-@dataclass(frozen=True)
-class LoopVerification:
-    reports: tuple
-    aggregate: AggregateReport
+class LoopVerification(namedtuple("LoopVerification", "reports aggregate")):
+    """The CardinalityReport of each proper subgroup, and the AggregateReport."""
+
+    __slots__ = ()
 
     def failed_checks(self) -> list[tuple]:
         bad = []

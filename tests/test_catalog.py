@@ -263,9 +263,23 @@ class TestGeneration:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_entry_must_be_normalized(self, loop_3x3_shifted):
+    def test_import_loads_neither_dataclasses_nor_inspect(self, package_env):
+        # A bare interpreter loads neither; dataclasses imports inspect,
+        # which imports ast, dis and tokenize.
+        code = (
+            "import sys, loopforge, loopforge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=package_env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_entry_must_be_normalized(self, z4, loop_3x3_shifted):
         with pytest.raises(AssertionError):
             CatalogEntry(loop_3x3_shifted, True, 0, "0" * 16)
+        with pytest.raises(AssertionError):
+            CatalogEntry(z4, True, 0, "0" * 16)._replace(loop=loop_3x3_shifted)
 
 
 class TestStorage:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -489,7 +488,7 @@ class TestVerifyByClass:
                 return ver
             rep = ver.reports[0]
             checks = {**rep.checks, "t10": sbs.CheckResult("fail", f"planted at {rep.subgroup}")}
-            return dataclasses.replace(ver, reports=(dataclasses.replace(rep, checks=checks),))
+            return ver._replace(reports=(rep._replace(checks=checks),))
 
         monkeypatch.setattr(cli, "verify_theorems", planted)
         verified.clear()

@@ -314,6 +314,26 @@ def test_differing_power_orders_are_rejected_before_labelling(monkeypatch):
     assert any(L is relabelled for L in labelled)
 
 
+def test_power_orders_are_computed_once_per_loop(monkeypatch):
+    # autotopism_group compares L with n^2 isotopes, each a new LoopTable,
+    # so n^2 + 1 loops have power orders; each is computed once.  isotopy
+    # holds no name of its own for _power_orders, so patching loop_core's
+    # counts every call.
+    assert not hasattr(isotopy, "_power_orders")
+    L = cyclic_loop(6)
+    computed = []
+    real = loop_core._power_orders
+
+    def counted(t, e):
+        computed.append(t)
+        return real(t, e)
+
+    monkeypatch.setattr(loop_core, "_power_orders", counted)
+    assert len(autotopism_group(L)) == 6 * 12
+    assert 0 < len(computed) <= 6 * 6 + 1
+    assert sum(t is L.table for t in computed) == 1
+
+
 def test_principal_isotopes_split_by_class_as_aut_predicts():
     # Group the n^2 principal isotopes of L by canonical form, c_M of them
     # isomorphic to M.  Then the c_M sum to n^2 and c_M * |Aut(M)| = |AUT(L)|

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from enum import IntEnum
 
@@ -24,6 +26,7 @@ from loopforge import (
     subgroups,
     translations,
     validate_table,
+    verify_theorems,
 )
 
 from oracles import brute_associative, brute_first_nonassociative, brute_subgroups
@@ -261,10 +264,36 @@ class TestSLoopContext:
         h = SubgroupSet((0, 2), klein)
         with pytest.raises(NotSLoop, match=r"^subgroup belongs to a different loop$"):
             SLoopContext(z4, h)
+        with pytest.raises(NotSLoop, match=r"^subgroup belongs to a different loop$"):
+            s_loop_context(z4, [0, 2])._replace(h=h)
 
     def test_subgroup_set_rejects_with_not_s_loop(self, z4):
         with pytest.raises(NotSLoop, match=r"^not a subgroup: identity 0 missing$"):
             SubgroupSet((1, 3), z4)
+
+    def test_subgroup_set_is_a_value(self, z4, klein):
+        h = SubgroupSet((2, 0, 2), z4)
+        assert h == SubgroupSet((0, 2), z4) != SubgroupSet((0, 2), klein)
+        assert hash(h) == hash(SubgroupSet([0, 2], z4))
+        assert repr(h) == (
+            "SubgroupSet(elements=(0, 2), parent=LoopTable(n=4, e=0, associative=True))"
+        )
+        assert pickle.loads(pickle.dumps(h)) == copy.copy(h) == h
+
+
+def test_value_fields_are_read_only(z4):
+    ctx = s_loop_context(z4, [0, 2])
+    values = [
+        (ctx.h, "elements"),
+        (ctx, "h"),
+        (next(generate_loops(4)), "entry_id"),
+        (verify_theorems(z4).reports[0], "checks"),
+    ]
+    for obj, field in values:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            obj.extra = None
 
 
 class TestTextFormat:

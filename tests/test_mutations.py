@@ -6,7 +6,6 @@ asserts that the key reads fail on every report of the named loops.  A
 defect in AUT itself must trip autotopism_group's closure check.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -77,7 +76,7 @@ def test_t13_catches_swapped_isotopy_parameters(monkeypatch):
     real = sbs.carry_autotopisms
 
     def swapped(keys, record):
-        return real(keys, dataclasses.replace(record, f=record.g, g=record.f))
+        return real(keys, record._replace(f=record.g, g=record.f))
 
     monkeypatch.setattr(sbs, "carry_autotopisms", swapped)
     assert _statuses("n5", "t13") == ["fail"]
@@ -131,7 +130,7 @@ def _relabelled(real):
         e = record.result.e
         images = list(range(L.n))
         images[0], images[e] = e, 0
-        return dataclasses.replace(record, result=validate_table(relabel(record.result, images)))
+        return record._replace(result=validate_table(relabel(record.result, images)))
 
     return isotope
 

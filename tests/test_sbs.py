@@ -2,7 +2,6 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -455,7 +454,7 @@ class TestVerifyTheorems:
             assert len(by_subgroup) == len(ver.reports)
             for rep in ver.reports:
                 image = tuple(sorted(psi[x] for x in rep.subgroup))
-                assert replace(by_subgroup[image], subgroup=rep.subgroup) == rep
+                assert by_subgroup[image]._replace(subgroup=rep.subgroup) == rep
             assert other.aggregate == ver.aggregate
             verified += 1
         assert 0 < moved < len(loops) and verified > 100
