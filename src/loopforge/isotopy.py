@@ -22,7 +22,7 @@ from .loop_core import (
     _orders_of,
     validate_table,
 )
-from .perm import Perm, compose, compose_images, group_violation, identity, inverse
+from .perm import Perm, _inverse_images, compose, compose_images, generators, identity, inverse
 
 DEFAULT_SEARCH_CAP = 10
 
@@ -78,13 +78,10 @@ def identity_autotopism(n: int) -> Autotopism:
     return Autotopism(i, i, i)
 
 
-def autotopism_set_violation(auts, n: int) -> str | None:
-    """Why a set of degree-n triples is not a group under composition, or None."""
-    return group_violation(
-        [a.key() for a in auts],
-        lambda a, b: tuple(map(compose_images, a, b)),
-        identity_autotopism(n).key(),
-    )
+def _triple_generators(keys: list[tuple], n: int) -> tuple[list, str | None]:
+    """perm.generators on degree-n image triples, composed componentwise."""
+    one = tuple(range(n))
+    return generators(keys, lambda a, b: tuple(map(compose_images, a, b)), (one, one, one))
 
 
 class PrincipalIsotopeRecord(namedtuple("PrincipalIsotopeRecord", "source f g result")):
@@ -141,11 +138,15 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     by q -> a \\ (q * b) and its symbols by r -> r / b, so it is a Latin
     square by construction.  It is built column-wise, by zip, which costs
     less than an entry-by-entry comprehension.
+
+    No triple is law-checked on its own: with no violation, perm.generators
+    shows each is the identity or a product of the generators it returns,
+    and both are autotopisms once those generators pass the law.
     """
     n = L.n
     _check_cap(n, cap)
     t, ld, rd = L.table, L.ldiv, L.rdiv
-    results = []
+    found = []
     for b in range(n):
         col_b = [row[b] for row in t]
         beta = [row[b] for row in rd]  # r -> r / b
@@ -156,17 +157,15 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
             target = tuple(zip(*[cols[q] for q in alpha]))
             for u in _isomorphism_images(L, LoopTable(target, a)):
                 w = tuple([col_b[x] for x in u])
-                v = tuple([ld_a[z] for z in w])
-                if not law_holds(t, t, u, v, w):
-                    raise InvariantViolation(f"search produced a non-autotopism {(u, v, w)}")
-                results.append(
-                    Autotopism(Perm._unchecked(u), Perm._unchecked(v), Perm._unchecked(w))
-                )
-    results.sort(key=Autotopism.key)
-    violation = autotopism_set_violation(results, n)
+                found.append((u, tuple([ld_a[z] for z in w]), w))
+    found.sort()
+    gens, violation = _triple_generators(found, n)
     if violation is not None:
         raise InvariantViolation(f"autotopism set is not a group: {violation}")
-    return results
+    for u, v, w in gens:
+        if not law_holds(t, t, u, v, w):
+            raise InvariantViolation(f"search produced a non-autotopism {(u, v, w)}")
+    return [Autotopism(*map(Perm._unchecked, key)) for key in found]
 
 
 def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list[tuple]:
@@ -209,7 +208,7 @@ def _isomorphism_images(L1: LoopTable, L2: LoopTable) -> list[tuple]:
     M2, psis = _labellings(L2)
     if M1 != M2:
         return []
-    back = sorted(range(L2.n), key=psis[0].__getitem__)  # back[k] = psi^-1(k)
+    back = _inverse_images(psis[0])  # back[k] = psi^-1(k)
     return [tuple([back[k] for k in phi]) for phi in phis]
 
 

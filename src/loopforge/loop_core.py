@@ -11,7 +11,7 @@ import collections
 from typing import Iterable, Sequence
 
 from .errors import NoIdentity, NotLatin, NotSLoop, NotSquare, ParseError
-from .perm import Perm
+from .perm import Perm, _inverse_images
 
 
 class LoopTable:
@@ -42,26 +42,14 @@ class LoopTable:
 
     @property
     def ldiv(self) -> tuple:
-        if self._ldiv is None:
-            n = self.n
-            ld = [[0] * n for _ in range(n)]
-            for a in range(n):
-                row = self.table[a]
-                for y in range(n):
-                    ld[a][row[y]] = y
-            self._ldiv = tuple(tuple(r) for r in ld)
+        if self._ldiv is None:  # row a sends y to a*y
+            self._ldiv = tuple(map(_inverse_images, self.table))
         return self._ldiv
 
     @property
     def rdiv(self) -> tuple:
-        if self._rdiv is None:
-            n = self.n
-            rd = [[0] * n for _ in range(n)]
-            for x in range(n):
-                row = self.table[x]
-                for a in range(n):
-                    rd[row[a]][a] = x
-            self._rdiv = tuple(tuple(r) for r in rd)
+        if self._rdiv is None:  # column a sends x to x*a
+            self._rdiv = tuple(zip(*map(_inverse_images, zip(*self.table))))
         return self._rdiv
 
     def __eq__(self, other: object) -> bool:
@@ -147,6 +135,9 @@ def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
     """subgroup_violation for a subset given as a set and as sorted(set)."""
     if not s:
         return "empty subset"
+    bad = [x for x in s if not isinstance(x, int) or isinstance(x, bool)]  # as validate_table
+    if bad:
+        return f"non-integer elements: {bad}"
     if s[0] < 0 or s[-1] >= L.n:
         return f"elements outside 0..{L.n - 1}: {s}"
     e = L.e

@@ -18,7 +18,9 @@ class Perm:
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
-        if not imgs or sorted(imgs) != list(range(len(imgs))):
+        # ints, not bool, as in validate_table: 1.0 and True sort like 1
+        ints = all(isinstance(v, int) and not isinstance(v, bool) for v in imgs)
+        if not imgs or not ints or sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         self.images = imgs
 
@@ -29,10 +31,13 @@ class Perm:
 
         The library knows it in two ways.  A composite or inverse of
         permutations is one, such as a found isomorphism psi^-1 o phi of two
-        labellings.  A triple that passes the autotopism law with W a
-        permutation, on a Latin table, has U and V injective, hence
-        bijective: U(x) = U(x') gives W(x * y) = W(x' * y), so
-        x * y = x' * y for every y and x = x'; V likewise.
+        labellings, and each component of a found autotopism: U is such an
+        isomorphism, W is U followed by the column x -> x * b and V is W
+        followed by the row inverse z -> a \\ z.  A carried triple that
+        passes the autotopism law with W a permutation, on a Latin table, has
+        U and V injective, hence bijective: U(x) = U(x') gives
+        W(x * y) = W(x' * y), so x * y = x' * y for every y and x = x'; V
+        likewise.
         """
         p = object.__new__(cls)
         p.images = images
@@ -77,36 +82,34 @@ def compose_images(p: tuple, q: tuple) -> tuple:
     return tuple([q[x] for x in p])
 
 
-def group_violation(members, product, one) -> str | None:
-    """Why a finite set of hashable elements is not a group, or None.
-
-    A finite set closed under the product is a group, so inverses need no
-    separate check; the first product outside the set that the generators
-    walk meets is reported.
-    """
-    if one not in set(members):
-        return "identity missing"
-    missing = generators(members, product, one)[1]
-    if missing is not None:
-        return "product of {} and {} missing".format(*missing)
-    return None
+def _inverse_images(p) -> tuple:
+    """The inverse of a bare image sequence, as a tuple, without validation."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
 
 
-def generators(members, product, one) -> tuple[list, tuple | None]:
-    """(gens, the first (x, g) whose product leaves the set, or None).
+def generators(members, product, one) -> tuple[list, str | None]:
+    """(gens, why the finite set members is not a group, or None).
 
     Walks the members in order; each one not yet generated becomes a
     generator, and every generated element is multiplied by every generator
     once.  Products outside the set are not followed, so each member is one
-    of gens or a product of them, closed or not.  Each new generator at
-    least doubles the subgroup generated so far, so a group costs
-    O(|G| log |G|) products.
+    of gens or a product of them, closed or not.  The violation is
+    "identity missing" when one is not a member, else the first product
+    outside the set the walk meets; the walk runs in full either way.  A
+    finite set closed under the product is a group, so inverses need no
+    separate check.  With no violation, each member is one or a product of
+    gens, so a property that one and gens have and products keep holds for
+    every member.  Each new generator at least doubles the subgroup
+    generated so far, so a group costs O(|G| log |G|) products.
     """
     keys = set(members)
     reached = [one]
     seen = {one}
     gens = []
-    missing = None
+    missing = None if one in keys else "identity missing"
     for s in members:
         if s in seen:
             continue
@@ -118,7 +121,7 @@ def generators(members, product, one) -> tuple[list, tuple | None]:
                 y = product(x, g)
                 if y not in seen:
                     if y not in keys:
-                        missing = missing or (x, g)
+                        missing = missing or f"product of {x} and {g} missing"
                         continue
                     seen.add(y)
                     reached.append(y)
@@ -126,8 +129,5 @@ def generators(members, product, one) -> tuple[list, tuple | None]:
 
 
 def inverse(p: Perm) -> Perm:
-    inv = [0] * p.degree
-    for i, v in enumerate(p.images):
-        inv[v] = i
-    return Perm._unchecked(tuple(inv))
+    return Perm._unchecked(_inverse_images(p.images))
 

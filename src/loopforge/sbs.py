@@ -29,8 +29,8 @@ from .isotopy import (
     DEFAULT_SEARCH_CAP,
     Autotopism,
     _check_cap,
+    _triple_generators,
     autotopism_group,
-    autotopism_set_violation,
     automorphism_group,
     carry_autotopisms,
     isomorphisms,
@@ -38,7 +38,7 @@ from .isotopy import (
     principal_isotope,
 )
 from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
-from .perm import Perm, compose_images, generators, group_violation, identity
+from .perm import Perm, compose_images, generators, identity
 
 
 def check_perm_group(perms) -> str | None:
@@ -46,7 +46,7 @@ def check_perm_group(perms) -> str | None:
     members = [p.images for p in perms]
     if not members:
         return "empty set"
-    return group_violation(members, compose_images, tuple(range(len(members[0]))))
+    return generators(members, compose_images, tuple(range(len(members[0]))))[1]
 
 
 def _keeps(p: Perm, hset) -> bool:
@@ -180,8 +180,8 @@ def _derive(b: _Base, hsub) -> _Subgroup:
     square = len(h) * len(h)
     return _Subgroup(
         h=h, hset=hset, ssym=math.factorial(len(h)) * math.factorial(n - len(h)),
-        omega=om, omega_violation=autotopism_set_violation(om, n), sbs=sbs_set, sa=sa,
-        isos=isos, theta=th, ker=ker, kernel=_result(kernel_ok, kernel_detail),
+        omega=om, omega_violation=_triple_generators([a.key() for a in om], n)[1],
+        sbs=sbs_set, sa=sa, isos=isos, theta=th, ker=ker, kernel=_result(kernel_ok, kernel_detail),
         n_mu_cap_h=len(nucleus_h), gs_loop=len(th) == square,
         criterion=square * len(sa) == len(sbs_set) * len(nucleus_h),
     )

@@ -218,6 +218,7 @@ class TestSubgroups:
         assert "identity" in subgroup_violation(z4, [1, 3])
         assert "empty" in subgroup_violation(z4, [])
         assert "outside" in subgroup_violation(z4, [0, 9])
+        assert "non-integer" in subgroup_violation(z4, [0, 2.0])
         assert is_subgroup(z4, [0, 1, 2, 3])
         assert not is_subgroup(z4, [0, 3])
 
@@ -270,6 +271,11 @@ class TestSLoopContext:
     def test_subgroup_set_rejects_with_not_s_loop(self, z4):
         with pytest.raises(NotSLoop, match=r"^not a subgroup: identity 0 missing$"):
             SubgroupSet((1, 3), z4)
+        # 2.0 and True sort like 2 and 1 but cannot index a row.
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: non-integer elements: \[2\.0\]$"):
+            s_loop_context(z4, [0, 2.0])
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: non-integer elements: \[True\]$"):
+            SubgroupSet((0, True), z4)
 
     def test_subgroup_set_is_a_value(self, z4, klein):
         h = SubgroupSet((2, 0, 2), z4)

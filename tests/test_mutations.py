@@ -3,7 +3,8 @@
 A check that reads pass whatever the code computes shows nothing, so each
 test monkeypatches one plausible defect into the derivation a key guards and
 asserts that the key reads fail on every report of the named loops.  A
-defect in AUT itself must trip autotopism_group's closure check.
+defect in AUT itself must trip autotopism_group's group walk or the law
+check on the walk's generators.
 """
 
 import itertools
@@ -70,6 +71,47 @@ def test_aut_closure_catches_a_lost_labelling(name, monkeypatch):
     monkeypatch.setattr(isotopy, "_labellings", without_last)
     with pytest.raises(InvariantViolation, match="autotopism set is not a group"):
         verify_theorems(LOOPS[name]())
+
+
+def _plant_a_non_autotopism(monkeypatch) -> list:
+    """Make one image tuple of the first non-empty read-off onto a target
+    whose identity is not L's a bijection that is no isomorphism onto it,
+    so its triple breaks the autotopism law; returns the planted tuples."""
+    real = isotopy._isomorphism_images
+    planted = []
+
+    def one_bad_u(L1, L2):
+        images = real(L1, L2)
+        if images and not planted and L2.e != L1.e:
+            bad = next(p for p in itertools.permutations(range(L1.n)) if p not in images)
+            assert not isotopy.law_holds(L1.table, L2.table, bad, bad, bad)
+            images[-1] = bad
+            planted.append(bad)
+        return images
+
+    monkeypatch.setattr(isotopy, "_isomorphism_images", one_bad_u)
+    return planted
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_aut_catches_a_planted_non_autotopism(name, monkeypatch):
+    planted = _plant_a_non_autotopism(monkeypatch)
+    with pytest.raises(InvariantViolation, match="not a group|non-autotopism"):
+        autotopism_group(LOOPS[name]())
+    assert planted
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_aut_law_checks_the_walks_generators(name, monkeypatch):
+    # No product of autotopisms breaks the law, so the walk makes the
+    # planted triple a generator: with the walk's verdict dropped, the law
+    # check on the generators still sees it.
+    planted = _plant_a_non_autotopism(monkeypatch)
+    real = isotopy._triple_generators
+    monkeypatch.setattr(isotopy, "_triple_generators", lambda keys, n: (real(keys, n)[0], None))
+    with pytest.raises(InvariantViolation, match="search produced a non-autotopism"):
+        autotopism_group(LOOPS[name]())
+    assert planted
 
 
 def test_t13_catches_swapped_isotopy_parameters(monkeypatch):

@@ -1,9 +1,19 @@
+import functools
 import random
 from itertools import permutations
 
 import pytest
 
-from loopforge import DegreeMismatch, Perm, compose, identity, inverse
+from loopforge import (
+    DegreeMismatch,
+    Perm,
+    autotopism_group,
+    compose,
+    generate_loops,
+    identity,
+    inverse,
+)
+from loopforge.perm import compose_images, generators
 
 
 def test_images_and_call():
@@ -58,7 +68,8 @@ def test_group_laws_random_degree6():
 
 
 def test_rejects_non_permutations():
-    for bad in ([], [0, 0], [1, 2], [0, 2], [0, 1, 1]):
+    # [0, 1.0, 2] and [False, True] sort equal to range(n) but cannot index.
+    for bad in ([], [0, 0], [1, 2], [0, 2], [0, 1, 1], [0, 1.0, 2], [False, True], ["a"]):
         with pytest.raises(ValueError):
             Perm(bad)
 
@@ -80,3 +91,57 @@ def test_equality_hash_ordering():
 def test_repr():
     assert repr(Perm([2, 0, 1])) == "Perm([2, 0, 1])"
 
+
+
+def _triple_product(a, b):
+    return tuple(map(compose_images, a, b))
+
+
+@functools.cache
+def _aut_keys() -> list:
+    """AUT of every loop of orders 2-5 as sorted image triples, with its identity."""
+    out = []
+    for n in range(2, 6):
+        one = tuple(range(n))
+        for entry in generate_loops(n):
+            out.append(([a.key() for a in autotopism_group(entry.loop)], (one, one, one)))
+    return out
+
+
+def _closure(gens, one) -> set:
+    """Every product of gens, by breadth-first search from one."""
+    reached, frontier = {one}, [one]
+    while frontier:
+        fresh = {_triple_product(x, g) for x in frontier for g in gens} - reached
+        reached |= fresh
+        frontier = list(fresh)
+    return reached
+
+
+def test_generators_generate_the_group():
+    assert len(_aut_keys()) == 62
+    for keys, one in _aut_keys():
+        gens, violation = generators(keys, _triple_product, one)
+        assert violation is None
+        assert set(gens) <= set(keys)
+        assert _closure(gens, one) == set(keys)
+        # Each generator at least doubles the subgroup generated so far.
+        assert len(gens) <= len(keys).bit_length() - 1
+
+
+def test_generators_report_a_missing_identity_and_still_walk():
+    for keys, one in _aut_keys():
+        gens = generators(keys, _triple_product, one)[0]
+        without = [k for k in keys if k != one]
+        assert generators(without, _triple_product, one) == (gens, "identity missing")
+
+
+def test_generators_report_a_missing_product_and_still_walk():
+    for keys, one in _aut_keys():
+        gens = generators(keys, _triple_product, one)[0]
+        lost = max(set(keys) - set(gens) - {one})
+        without = [k for k in keys if k != lost]
+        walked, violation = generators(without, _triple_product, one)
+        assert violation.startswith("product of ") and violation.endswith(" missing")
+        # Every remaining member is still a product of the generators walked.
+        assert set(without) < _closure(walked, one)
