@@ -168,33 +168,6 @@ def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autoto
     return [Autotopism(*map(Perm._unchecked, key)) for key in found]
 
 
-def carry_autotopisms(keys: list[tuple], record: PrincipalIsotopeRecord) -> list[tuple]:
-    """Image triples of the autotopisms of record.result, carried over from
-    keys, the image triples of the autotopisms of record.source, in keys'
-    order.
-
-    (R_g, L_f, id) is an isotopy from the source onto its f,g-principal
-    isotope, so each (U, V, W) becomes (R_g.U.R_g^-1, L_f.V.L_f^-1, W),
-    read right to left.  Every carried triple is checked against the
-    isotope's own table, so with W a permutation U and V are permutations
-    too (see Perm._unchecked).
-    """
-    L = record.source
-    t, g = L.table, record.g
-    row_f, ld_f = t[record.f], L.ldiv[record.f]
-    div_g = [row[g] for row in L.rdiv]  # x / g
-    times_g = [row[g] for row in t]  # x * g
-    t2 = record.result.table
-    out = []
-    for ui, vi, wi in keys:
-        u = tuple([times_g[ui[z]] for z in div_g])
-        v = tuple([row_f[vi[z]] for z in ld_f])
-        if not law_holds(t2, t2, u, v, wi):
-            raise InvariantViolation(f"carried triple {(u, v, wi)} fails on the isotope")
-        out.append((u, v, wi))
-    return out
-
-
 def _isomorphism_images(L1: LoopTable, L2: LoopTable) -> list[tuple]:
     """Image tuples of every isomorphism of L1 onto L2, in search order:
     none when their sorted power orders differ, checked before either loop

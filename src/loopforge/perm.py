@@ -29,15 +29,10 @@ class Perm:
         """A Perm on an image tuple the library already knows to be a
         permutation, skipping the O(n log n) check every other caller gets.
 
-        The library knows it in two ways.  A composite or inverse of
-        permutations is one, such as a found isomorphism psi^-1 o phi of two
-        labellings, and each component of a found autotopism: U is such an
-        isomorphism, W is U followed by the column x -> x * b and V is W
-        followed by the row inverse z -> a \\ z.  A carried triple that
-        passes the autotopism law with W a permutation, on a Latin table, has
-        U and V injective, hence bijective: U(x) = U(x') gives
-        W(x * y) = W(x' * y), so x * y = x' * y for every y and x = x'; V
-        likewise.
+        A composite or inverse of permutations is one, such as a found
+        isomorphism psi^-1 o phi of two labellings, and each component of a
+        found autotopism: U is such an isomorphism, W is U followed by the
+        column x -> x * b and V is W followed by the row inverse z -> a \\ z.
         """
         p = object.__new__(cls)
         p.images = images

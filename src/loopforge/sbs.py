@@ -32,7 +32,6 @@ from .isotopy import (
     _triple_generators,
     autotopism_group,
     automorphism_group,
-    carry_autotopisms,
     isomorphisms,
     law_holds,
     principal_isotope,
@@ -96,14 +95,11 @@ def special_witnesses(L: LoopTable, theta: Perm) -> list[tuple[int, int]]:
     return out
 
 
-def _in_omega(u: tuple, v: tuple, w: tuple, e: int, hset) -> bool:
-    """Whether the image triple has U(e), V(e) in H and W(H) inside H."""
-    return u[e] in hset and v[e] in hset and all(w[x] in hset for x in hset)
-
-
 def _omega_of(aut: list[Autotopism], e: int, hset) -> list[Autotopism]:
-    """The triples of aut that _in_omega keeps, in aut's order."""
-    return [a for a in aut if _in_omega(*a.key(), e, hset)]
+    """The triples of aut with U(e), V(e) in H and W(H) inside H, in aut's order."""
+    return [
+        a for a in aut if a.u.images[e] in hset and a.v.images[e] in hset and _keeps(a.w, hset)
+    ]
 
 
 def _theta_of(isos: list[tuple], hset) -> list[tuple[int, int]]:
@@ -124,13 +120,11 @@ def _result(ok: bool, detail: str) -> CheckResult:
     return CheckResult("pass" if ok else "fail", detail)
 
 
-class _Base(namedtuple(
-    "_Base", "loop cap aut keys bs aum nucleus isotopes round_trips carried"
-)):
-    """What every subgroup of one loop shares: AUT, its keys and BS read off
-    it, AUM, the middle nucleus, and per-(f, g) memos, so subgroups holding
-    f and g share them.  isotopes holds (record, isomorphisms onto it);
-    t12_1 fills round_trips and t13 fills carried as they first ask."""
+class _Base(namedtuple("_Base", "loop cap aut bs aum nucleus isotopes round_trips")):
+    """What every subgroup of one loop shares: AUT and BS read off it, AUM,
+    the middle nucleus, and per-(f, g) memos, so subgroups holding f and g
+    share them.  isotopes holds (record, isomorphisms onto it); t12_1 fills
+    round_trips as it first asks."""
 
     __slots__ = ()
 
@@ -138,8 +132,8 @@ class _Base(namedtuple(
 def _base(L: LoopTable, cap: int) -> _Base:
     aut = autotopism_group(L, cap=cap)
     return _Base(
-        L, cap, aut, [a.key() for a in aut], frozenset(a.w.images for a in aut),
-        automorphism_group(L, cap=cap), frozenset(middle_nucleus(L).elements), {}, {}, {},
+        L, cap, aut, frozenset(a.w.images for a in aut), automorphism_group(L, cap=cap),
+        frozenset(middle_nucleus(L).elements), {}, {},
     )
 
 
@@ -300,12 +294,19 @@ def _t8(b: _Base, s: _Subgroup) -> CheckResult:
 
 
 def _t13(b: _Base, s: _Subgroup) -> CheckResult:
-    """Every subgroup-parameter isotope has the same SBS; all of AUT is carried and law-checked."""
+    """Every subgroup-parameter isotope has the same SBS, read off AUT."""
+    # One law check, (x * g) o (f * y) = x * y, pins the isotope's table to
+    # L's under the isotopy (R_g, L_f, id).  Conjugating by that isotopy
+    # carries AUT(L) onto the isotope's AUT, keeping W and sending its
+    # identity f * g to U(f) * g and f * V(g), which lie in H exactly when
+    # U(f) and V(g) do.
+    t, hset = b.loop.table, s.hset
+    ide = tuple(range(b.loop.n))
+    stable = [(a.u.images, a.v.images, a.w.images) for a in b.aut if _keeps(a.w, hset)]
     for (f, g), record, _ in s.isos:
-        if (f, g) not in b.carried:
-            b.carried[f, g] = carry_autotopisms(b.keys, record)
-        e2 = record.result.e
-        other = {w for u, v, w in b.carried[f, g] if _in_omega(u, v, w, e2, s.hset)}
+        if not law_holds(t, record.result.table, [row[g] for row in t], t[f], ide):
+            return _result(False, f"({f},{g}) isotope table is not L's under (x*{g}, {f}*y, id)")
+        other = {w for u, v, w in stable if u[f] in hset and v[g] in hset}
         if other != s.sbs:
             detail = f"({f},{g}) isotope SBS has {len(other)} members, base has {len(s.sbs)}"
             return _result(False, detail)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import os
 from pathlib import Path
 
@@ -31,6 +32,28 @@ def klein():
 @pytest.fixture
 def n5():
     return n5_loop()
+
+
+@pytest.fixture
+def m_s3():
+    """Chein's Moufang loop M(S3, 2) of order 12: G u Gu with
+    g(hu) = (hg)u, (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g."""
+    group = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(group)}
+
+    def mul(g, h):
+        return index[tuple(g[x] for x in h)]
+
+    def inv(g):
+        return tuple(sorted(range(3), key=g.__getitem__))
+
+    def product(x, y):
+        g, h = group[x % 6], group[y % 6]
+        if x < 6:
+            return mul(g, h) if y < 6 else 6 + mul(h, g)
+        return 6 + mul(g, inv(h)) if y < 6 else mul(inv(h), g)
+
+    return validate_table([[product(x, y) for y in range(12)] for x in range(12)])
 
 
 @pytest.fixture

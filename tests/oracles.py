@@ -135,6 +135,18 @@ def brute_autotopisms_by_u(L):
     return sorted(out)
 
 
+def carry_autotopisms(L, keys, f, g):
+    """The image triples keys, autotopisms of L, conjugated by the isotopy
+    (R_g, L_f, id) onto L's f,g-principal isotope, in keys' order: (U, V, W)
+    becomes (x -> U(x / g) * g, y -> f * V(f \\ y), W)."""
+    n, t = L.n, L.table
+    return [
+        (tuple(t[u[L.rdiv[x][g]]][g] for x in range(n)),
+         tuple(t[f][v[L.ldiv[f][y]]] for y in range(n)), w)
+        for u, v, w in keys
+    ]
+
+
 def brute_isomorphisms(L1, L2):
     n = L1.n
     if n != L2.n:

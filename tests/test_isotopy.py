@@ -39,6 +39,7 @@ from oracles import (
     brute_autotopisms_pairs,
     brute_autotopisms_triples,
     brute_isomorphisms,
+    carry_autotopisms,
     group_axiom_violation,
 )
 
@@ -218,25 +219,7 @@ class TestAutotopisms:
         assert len({a.w for a in aut}) == 1344
         assert sum(a.u == a.v == a.w for a in aut) == 168
 
-    def test_frozen_sizes_for_chein_s3(self):
-        # Chein's Moufang loop M(S3, 2) of order 12: G u Gu with
-        # g(hu) = (hg)u, (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g.
-        group = list(itertools.permutations(range(3)))
-        index = {g: i for i, g in enumerate(group)}
-
-        def mul(g, h):
-            return index[tuple(g[x] for x in h)]
-
-        def inv(g):
-            return tuple(sorted(range(3), key=g.__getitem__))
-
-        def product(x, y):
-            g, h = group[x % 6], group[y % 6]
-            if x < 6:
-                return mul(g, h) if y < 6 else 6 + mul(h, g)
-            return 6 + mul(g, inv(h)) if y < 6 else mul(inv(h), g)
-
-        m_s3 = validate_table([[product(x, y) for y in range(12)] for x in range(12)])
+    def test_frozen_sizes_for_chein_s3(self, m_s3):
         assert not m_s3.associative
         aut = autotopism_group(m_s3, cap=12)
         assert len(aut) == 15552
@@ -352,33 +335,51 @@ def test_principal_isotopes_split_by_class_as_aut_predicts():
     assert pairs == 1053
 
 
-def _carried_keys(aut, record):
-    """The keys of aut carried onto record.result, sorted as
-    autotopism_group sorts its output."""
-    return sorted(isotopy.carry_autotopisms([a.key() for a in aut], record))
+def _carried_keys(L, aut, f, g):
+    """The keys of aut, the autotopisms of L, carried onto L's
+    f,g-principal isotope, sorted as autotopism_group sorts its output."""
+    return sorted(carry_autotopisms(L, [a.key() for a in aut], f, g))
+
+
+def _sbs_keys(keys, f, g, hset) -> set:
+    """The W of each triple in keys with U(f), V(g) in H and W(H) = H."""
+    return {w for u, v, w in keys
+            if u[f] in hset and v[g] in hset and all(w[x] in hset for x in hset)}
 
 
 class TestTransport:
     def test_equals_direct_search_on_subgroup_isotopes(self):
+        # Conjugating by the isotopy (R_g, L_f, id) keeps W and sends the
+        # isotope's identity f * g to U(f) * g and f * V(g), so the isotope's
+        # SBS is the W of each autotopism of L with U(f), V(g) in H: the
+        # lemma t13 reads the isotope's SBS by.
         checked = 0
         for n in (4, 5):
             for entry in generate_loops(n):
                 L = entry.loop
                 aut = autotopism_group(L)
-                pairs = {(f, g) for h in s_subgroups(L) for f in h for g in h}
-                for f, g in sorted(pairs):
-                    record = principal_isotope(L, f, g)
-                    direct = [a.key() for a in autotopism_group(record.result)]
-                    assert _carried_keys(aut, record) == direct
-                    checked += 1
+                keys = [a.key() for a in aut]
+                direct = {}
+                for h in s_subgroups(L):
+                    hset = set(h)
+                    for f in h:
+                        for g in h:
+                            record = principal_isotope(L, f, g)
+                            if (f, g) not in direct:
+                                direct[f, g] = [a.key() for a in autotopism_group(record.result)]
+                                assert _carried_keys(L, aut, f, g) == direct[f, g]
+                                checked += 1
+                            e2 = record.result.e
+                            via_aut = _sbs_keys(keys, f, g, hset)
+                            assert _sbs_keys(direct[f, g], e2, e2, hset) == via_aut
         assert checked == 144
 
     def test_carry_keeps_the_order_of_its_input(self, n5):
         aut = autotopism_group(n5)
-        record = principal_isotope(n5, 1, 2)
-        carried = isotopy.carry_autotopisms([a.key() for a in aut], record)
+        carried = carry_autotopisms(n5, [a.key() for a in aut], 1, 2)
         assert [w for _, _, w in carried] == [a.w.images for a in aut]
-        assert sorted(carried) == [a.key() for a in autotopism_group(record.result)]
+        direct = autotopism_group(principal_isotope(n5, 1, 2).result)
+        assert sorted(carried) == [a.key() for a in direct]
 
     def test_equals_direct_search_for_every_pair(self, n5):
         aut = autotopism_group(n5)
@@ -386,7 +387,7 @@ class TestTransport:
             for g in range(5):
                 record = principal_isotope(n5, f, g)
                 direct = [a.key() for a in autotopism_group(record.result)]
-                assert _carried_keys(aut, record) == direct
+                assert _carried_keys(n5, aut, f, g) == direct
 
 
 class TestIsomorphisms:

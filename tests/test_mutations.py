@@ -21,10 +21,10 @@ from loopforge import (
     ker_phi,
     klein_four,
     n5_loop,
-    omega,
     s_loop_context,
     s_subgroups,
     sbs,
+    sbs_group,
     validate_table,
     verify_theorems,
 )
@@ -115,38 +115,33 @@ def test_aut_law_checks_the_walks_generators(name, monkeypatch):
 
 
 def test_t13_catches_swapped_isotopy_parameters(monkeypatch):
-    real = sbs.carry_autotopisms
-
-    def swapped(keys, record):
-        return real(keys, record._replace(f=record.g, g=record.f))
-
-    monkeypatch.setattr(sbs, "carry_autotopisms", swapped)
+    # The (g, f) isotope under the fields of (f, g): only t13's law check of
+    # the isotopy from L, keyed by the pair, sees it.
+    real = sbs.principal_isotope
+    monkeypatch.setattr(sbs, "principal_isotope", lambda L, f, g: real(L, g, f)._replace(f=f, g=g))
     assert _statuses("n5", "t13") == ["fail"]
 
 
-@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
-def test_t13_law_checks_carried_triples_outside_omega(name, monkeypatch):
-    # The corrupted triple's W keeps no subgroup, and carrying keeps W, so
-    # the triple lies in no omega of the loop or of any isotope: only the
-    # law check on every carried triple can see it.
-    L = LOOPS[name]()
-    hsets = [set(h.elements) for h in s_subgroups(L)]
-    aut = autotopism_group(L)
-    pick = next(
-        i for i, a in enumerate(aut)
-        if not any(all(a.w(x) in h for x in h) for h in hsets)
+def test_t13_reads_the_identity_images_at_f_and_g(monkeypatch):
+    # The planted (U, U, W) has U swapping e with an x outside H and fixing
+    # the rest, so U(e) lies outside H but U(h) = h for h in H other than e;
+    # W keeps H but lies outside SBS.  Its W joins the SBS read off AUT for
+    # each isotope with f, g != e, and would join none if read at e.
+    L = n5_loop()
+    (h,) = s_subgroups(L)
+    hset = set(h)
+    x = min(set(range(L.n)) - hset)
+    images = list(range(L.n))
+    images[L.e], images[x] = x, L.e
+    u = Perm(images)
+    base = set(sbs_group(s_loop_context(L, h)))
+    w = next(p for p in map(Perm, itertools.permutations(range(L.n)))
+             if sbs._keeps(p, hset) and p not in base)
+    real = sbs.autotopism_group
+    monkeypatch.setattr(
+        sbs, "autotopism_group", lambda L, cap: real(L, cap=cap) + [Autotopism(u, u, w)]
     )
-    assert not any(aut[pick] in omega(s_loop_context(L, h)) for h in hsets)
-    real = sbs.carry_autotopisms
-
-    def one_bad_v(keys, record):
-        u, v, w = keys[pick]
-        bad = list(keys)
-        bad[pick] = (u, (v[1], v[0]) + v[2:], w)
-        return real(bad, record)
-
-    monkeypatch.setattr(sbs, "carry_autotopisms", one_bad_v)
-    assert set(_statuses(name, "t13")) == {"fail"}
+    assert _statuses("n5", "t13") == ["fail"]
 
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
@@ -192,8 +187,12 @@ def _keyed_by_f(real):
 @pytest.mark.parametrize("defect", [_relabelled, _keyed_by_f])
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_t12_recomputes_the_isotope_products_on_h(name, defect, monkeypatch):
+    # t12 recomputes the isotope's products on H, and t13 law-checks the
+    # isotopy (R_g, L_f, id) from L onto the whole isotope table.
     monkeypatch.setattr(sbs, "principal_isotope", defect(sbs.principal_isotope))
-    assert set(_statuses(name, "t12")) == {"fail"}
+    reports = verify_theorems(LOOPS[name]()).reports
+    for key in ("t12", "t13"):
+        assert {rep.checks[key].status for rep in reports} == {"fail"}, key
 
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])

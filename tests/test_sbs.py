@@ -431,6 +431,11 @@ class TestVerifyTheorems:
         assert ver.all_pass()
         assert [rep.subgroup for rep in ver.reports] == [(0, 1), (0, 2), (0, 3)]
 
+    def test_frozen_reports_for_chein_s3(self, m_s3):
+        ver = verify_theorems(m_s3, cap=12)
+        assert len(ver.reports) == 22 and ver.all_pass()
+        assert {(r.aut, r.aum, r.bs, r.n_mu) for r in ver.reports} == {(15552, 108, 15552, 1)}
+
     def test_relabelling_changes_only_the_subgroups(self):
         # So verify DIR may verify one loop per isomorphism class: relabelling
         # a loop by psi relabels each report's subgroup H as psi(H), and
