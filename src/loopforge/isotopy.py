@@ -96,6 +96,8 @@ def principal_isotope(L: LoopTable, f: int, g: int) -> PrincipalIsotopeRecord:
     Its identity element is f * g.
     """
     n = L.n
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (f, g)):
+        raise ValueError(f"parameters ({f!r}, {g!r}) are not both ints")
     if not 0 <= f < n or not 0 <= g < n:
         raise IndexError(f"parameters ({f}, {g}) outside 0..{n - 1}")
     t = L.table

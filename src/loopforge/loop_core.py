@@ -118,6 +118,8 @@ def _associative(rows: tuple, e: int) -> bool:
 
 def translations(L: LoopTable, x: int) -> tuple[Perm, Perm]:
     """Left and right translation by x: y -> x*y and y -> y*x."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"element {x!r} is not an int")
     if not 0 <= x < L.n:
         raise IndexError(f"element {x} outside 0..{L.n - 1}")
     left = Perm(L.table[x])

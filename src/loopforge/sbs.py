@@ -11,11 +11,12 @@ by the middle nucleus.
 Every autotopism (U, V, W) has this special shape with theta = W and
 witness (f, g) = (U(e), V(e)), so BS, SBS, omega and the kernel are
 projections or filters of one autotopism_group result, and SA filters
-automorphism_group's; _derive computes them once per subgroup for the
-_CHECKS table and the public projections.  The groups come back as sorted
-lists of Perm, omega and its kernel as lists of Autotopism whose witness
-is read off as (a.u.images[e], a.v.images[e]), and special_witnesses as
-(f, g) pairs.
+automorphism_group's.  _derive computes them once per subgroup, for the
+_CHECKS table and the public projections, from one split by H of AUT and
+of the isomorphisms onto each pair's isotope.  The groups come back as
+sorted lists of Perm, omega and its kernel as lists of Autotopism whose
+witness is (a.u.images[e], a.v.images[e]), and special_witnesses as (f, g)
+pairs.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ def check_perm_group(perms) -> str | None:
     members = [p.images for p in perms]
     if not members:
         return "empty set"
+    if len({len(m) for m in members}) > 1:
+        raise DegreeMismatch(f"degrees {sorted({len(m) for m in members})} in one set")
     return generators(members, compose_images, tuple(range(len(members[0]))))[1]
 
 
-def _keeps(p: Perm, hset) -> bool:
-    """Whether p maps the subgroup into (hence onto) itself."""
-    return all(p.images[x] in hset for x in hset)
+def _keeps(images: tuple, hset) -> bool:
+    """Whether the permutation maps the subgroup into (hence onto) itself."""
+    return all(images[x] in hset for x in hset)
 
 
 def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
@@ -62,14 +65,12 @@ def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
     n = ctx.loop.n
     _check_cap(n, cap)
     h = list(ctx.h.elements)
-    rest = [x for x in range(n) if x not in set(h)]
+    rest = [x for x in range(n) if x not in ctx.h]
     members = []
     for ph in itertools.permutations(h):
         for pr in itertools.permutations(rest):
-            imgs = [0] * n
-            for src, dst in zip(h + rest, ph + pr):
-                imgs[src] = dst
-            members.append(Perm(imgs))
+            imgs = dict(zip(h + rest, ph + pr))
+            members.append(Perm(imgs[x] for x in range(n)))
     members.sort(key=lambda p: p.images)
     return members
 
@@ -85,26 +86,9 @@ def special_witnesses(L: LoopTable, theta: Perm) -> list[tuple[int, int]]:
     if len(imgs) != L.n:
         raise DegreeMismatch(f"theta of degree {len(imgs)} on an order-{L.n} loop")
     t, ld, rd = L.table, L.ldiv, L.rdiv
-    out = []
-    for f in range(L.n):
-        g = ld[f][imgs[L.e]]
-        u = tuple([rd[z][g] for z in imgs])
-        v = tuple(map(ld[f].__getitem__, imgs))
-        if law_holds(t, t, u, v, imgs):
-            out.append((f, g))
-    return out
-
-
-def _omega_of(aut: list[Autotopism], e: int, hset) -> list[Autotopism]:
-    """The triples of aut with U(e), V(e) in H and W(H) inside H, in aut's order."""
-    return [
-        a for a in aut if a.u.images[e] in hset and a.v.images[e] in hset and _keeps(a.w, hset)
-    ]
-
-
-def _theta_of(isos: list[tuple], hset) -> list[tuple[int, int]]:
-    # An H-preserving isomorphism onto the isotope inverts to one back.
-    return [pair for pair, _, found in isos if any(_keeps(a, hset) for a in found)]
+    pairs = [(f, ld[f][imgs[L.e]]) for f in range(L.n)]
+    return [(f, g) for f, g in pairs
+            if law_holds(t, t, [rd[z][g] for z in imgs], [ld[f][z] for z in imgs], imgs)]
 
 
 class CheckResult(namedtuple("CheckResult", "status detail")):
@@ -120,11 +104,10 @@ def _result(ok: bool, detail: str) -> CheckResult:
     return CheckResult("pass" if ok else "fail", detail)
 
 
-class _Base(namedtuple("_Base", "loop cap aut bs aum nucleus isotopes round_trips")):
+class _Base(namedtuple("_Base", "loop cap aut bs aum nucleus isotopes")):
     """What every subgroup of one loop shares: AUT and BS read off it, AUM,
-    the middle nucleus, and per-(f, g) memos, so subgroups holding f and g
-    share them.  isotopes holds (record, isomorphisms onto it); t12_1 fills
-    round_trips as it first asks."""
+    the middle nucleus, and isotopes, the _Pair of each (f, g) asked for,
+    so subgroups holding f and g share it."""
 
     __slots__ = ()
 
@@ -133,16 +116,51 @@ def _base(L: LoopTable, cap: int) -> _Base:
     aut = autotopism_group(L, cap=cap)
     return _Base(
         L, cap, aut, frozenset(a.w.images for a in aut), automorphism_group(L, cap=cap),
-        frozenset(middle_nucleus(L).elements), {}, {},
+        frozenset(middle_nucleus(L).elements), {},
     )
+
+
+class _Pair(namedtuple("_Pair", "record isos isotopic round_trip")):
+    """The (f, g) isotope record, the isomorphisms from L onto it, whether
+    L's table maps onto its table under (x * g, f * y, id), and whether its
+    (g, f) isotope is L's table again."""
+
+    __slots__ = ()
+
+
+def _split(b: _Base, h: tuple) -> tuple[list, list, list]:
+    """The one split by H: AUT's triples whose W maps H onto H, testing
+    each W of BS once; omega, those with U(e), V(e) in H, in AUT's order;
+    and ((f, g), its _Pair, the images of its isomorphisms that keep H)
+    for each (f, g) in H x H."""
+    L, hset = b.loop, frozenset(h)
+    t, e = L.table, L.e
+    keep = {w for w in b.bs if _keeps(w, hset)}
+    stable = [a for a in b.aut if a.w.images in keep]
+    isos = []
+    for f, g in itertools.product(h, h):
+        if (f, g) not in b.isotopes:
+            rec = principal_isotope(L, f, g)
+            # One law check, (x * g) o (f * y) = x * y, pins the whole table.
+            b.isotopes[f, g] = _Pair(
+                rec, isomorphisms(L, rec.result, cap=b.cap),
+                law_holds(t, rec.result.table, [row[g] for row in t], t[f], tuple(range(L.n))),
+                principal_isotope(rec.result, g, f).result.table == t,
+            )
+        p = b.isotopes[f, g]
+        isos.append(((f, g), p, [a.images for a in p.isos if _keeps(a.images, hset)]))
+    om = [a for a in stable if a.u.images[e] in hset and a.v.images[e] in hset]
+    return stable, om, isos
 
 
 class _Subgroup(namedtuple(
     "_Subgroup",
-    "h hset ssym omega omega_violation sbs sa isos theta ker kernel n_mu_cap_h gs_loop criterion",
+    "h hset ssym stable omega omega_violation sbs sa isos theta ker kernel n_mu_cap_h gs_loop"
+    " criterion",
 )):
-    """Every object the checks compare for one subgroup H; sbs holds image
-    tuples, and omega_violation and kernel are t15's and t17's outcomes."""
+    """Every object the checks compare for one subgroup H, from its _split;
+    sbs holds image tuples, and omega_violation and kernel are t15's and
+    t17's outcomes."""
 
     __slots__ = ()
 
@@ -151,17 +169,11 @@ def _derive(b: _Base, hsub) -> _Subgroup:
     """The one derivation of omega, SBS, SA, theta and ker for hsub."""
     L, h = b.loop, hsub.elements
     n, hset = L.n, frozenset(h)
-    om = _omega_of(b.aut, L.e, hset)
+    stable, om, isos = _split(b, h)
     sbs_set = frozenset(a.w.images for a in om)
-    sa = [a for a in b.aum if _keeps(a, hset)]
-    isos = []  # ((f, g), isotope record, isomorphisms from L onto it)
-    for f in h:
-        for g in h:
-            if (f, g) not in b.isotopes:
-                record = principal_isotope(L, f, g)
-                b.isotopes[f, g] = record, isomorphisms(L, record.result, cap=b.cap)
-            isos.append(((f, g), *b.isotopes[f, g]))
-    th = _theta_of(isos, hset)
+    sa = [a for a in b.aum if _keeps(a.images, hset)]
+    # An H-keeping isomorphism onto the isotope inverts to one back.
+    th = [pair for pair, _, kept in isos if kept]
     ide = identity(n)
     ker = [a for a in om if a.w == ide]
     # t17: ker is exactly the N_mu-in-H pairs.  Kept in the record so that
@@ -173,7 +185,7 @@ def _derive(b: _Base, hsub) -> _Subgroup:
     kernel_detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"
     square = len(h) * len(h)
     return _Subgroup(
-        h=h, hset=hset, ssym=math.factorial(len(h)) * math.factorial(n - len(h)),
+        h=h, hset=hset, ssym=math.factorial(len(h)) * math.factorial(n - len(h)), stable=stable,
         omega=om, omega_violation=_triple_generators([a.key() for a in om], n)[1],
         sbs=sbs_set, sa=sa, isos=isos, theta=th, ker=ker, kernel=_result(kernel_ok, kernel_detail),
         n_mu_cap_h=len(nucleus_h), gs_loop=len(th) == square,
@@ -209,12 +221,9 @@ def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
 
 
 def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[int, int]]:
-    """Subgroup pairs (f, g) whose isotope maps back onto the loop.
-
-    A pair qualifies when the Smarandache f,g-principal isotope admits a
-    subgroup-preserving isomorphism onto the original loop.  (e, e) always
-    qualifies via the identity map.
-    """
+    """Subgroup pairs (f, g) whose Smarandache f,g-principal isotope admits a
+    subgroup-preserving isomorphism onto the loop, as (e, e) does via the
+    identity map."""
     return _derive(_base(ctx.loop, cap), ctx.h).theta
 
 
@@ -251,22 +260,18 @@ def _c11(b: _Base, s: _Subgroup) -> CheckResult:
     return _result(not extra, detail)
 
 
+def _not_isotopic(f: int, g: int) -> CheckResult:
+    return _result(False, f"({f},{g}) isotope table is not L's under (x*{g}, {f}*y, id)")
+
+
 def _t12(b: _Base, s: _Subgroup) -> CheckResult:
     """Subgroup-parameter isotopes keep H as a subgroup."""
-    # principal_isotope already raised on a non-loop or a wrong identity.
-    # The isotope's products on H are recomputed from L's divisions, so a
-    # record of another pair, or relabelled, cannot pass.
-    L = b.loop
-    for (f, g), record, _ in s.isos:
-        ld = L.ldiv[f]
-        got = record.result.table
-        for x in s.h:
-            row = L.table[L.rdiv[x][g]]
-            for y in s.h:
-                if got[x][y] != row[ld[y]]:
-                    return _result(False, f"isotope ({f},{g}) gives {x}o{y} = {got[x][y]},"
-                                          f" but ({x}/{g})*({f}\\{y}) = {row[ld[y]]}")
-        violation = subgroup_violation(record.result, s.h)
+    # principal_isotope already raised on a non-loop or a wrong identity, and
+    # the isotopy check pins the table: a record of another pair cannot pass.
+    for (f, g), p, _ in s.isos:
+        if not p.isotopic:
+            return _not_isotopic(f, g)
+        violation = subgroup_violation(p.record.result, s.h)
         if violation is not None:
             return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
     return _result(True, f"{len(s.isos)} isotopes valid, subgroup preserved")
@@ -274,18 +279,15 @@ def _t12(b: _Base, s: _Subgroup) -> CheckResult:
 
 def _t12_1(b: _Base, s: _Subgroup) -> CheckResult:
     """The reversed parameter pair reconstructs the original table."""
-    for (f, g), record, _ in s.isos:
-        if (f, g) not in b.round_trips:
-            b.round_trips[f, g] = principal_isotope(record.result, g, f).result.table
-        if b.round_trips[f, g] != b.loop.table:
+    for (f, g), p, _ in s.isos:
+        if not p.round_trip:
             return _result(False, f"({f},{g}) round trip altered the table")
     return _result(True, f"{len(s.isos)} round trips exact")
 
 
 def _t8(b: _Base, s: _Subgroup) -> CheckResult:
     """SBS from AUT and from the isotope-isomorphism search agree."""
-    # Isomorphisms are injective, so a map sending H into H sends it onto H.
-    via_iso = {a.images for _, _, found in s.isos for a in found if _keeps(a, s.hset)}
+    via_iso = {images for _, _, kept in s.isos for images in kept}
     ok = via_iso == s.sbs
     detail = f"witness route {len(s.sbs)}, isotope route {len(via_iso)}"
     if not ok:
@@ -295,17 +297,14 @@ def _t8(b: _Base, s: _Subgroup) -> CheckResult:
 
 def _t13(b: _Base, s: _Subgroup) -> CheckResult:
     """Every subgroup-parameter isotope has the same SBS, read off AUT."""
-    # One law check, (x * g) o (f * y) = x * y, pins the isotope's table to
-    # L's under the isotopy (R_g, L_f, id).  Conjugating by that isotopy
-    # carries AUT(L) onto the isotope's AUT, keeping W and sending its
-    # identity f * g to U(f) * g and f * V(g), which lie in H exactly when
-    # U(f) and V(g) do.
-    t, hset = b.loop.table, s.hset
-    ide = tuple(range(b.loop.n))
-    stable = [(a.u.images, a.v.images, a.w.images) for a in b.aut if _keeps(a.w, hset)]
-    for (f, g), record, _ in s.isos:
-        if not law_holds(t, record.result.table, [row[g] for row in t], t[f], ide):
-            return _result(False, f"({f},{g}) isotope table is not L's under (x*{g}, {f}*y, id)")
+    # The pair's isotopy check pins the isotope's table to L's under the
+    # isotopy (R_g, L_f, id).  Conjugating by that isotopy carries AUT(L)
+    # onto the isotope's AUT, keeping W and sending its identity f * g to
+    # U(f) * g and f * V(g), which lie in H exactly when U(f) and V(g) do.
+    hset, stable = s.hset, [a.key() for a in s.stable]
+    for (f, g), p, _ in s.isos:
+        if not p.isotopic:
+            return _not_isotopic(f, g)
         other = {w for u, v, w in stable if u[f] in hset and v[g] in hset}
         if other != s.sbs:
             detail = f"({f},{g}) isotope SBS has {len(other)} members, base has {len(s.sbs)}"
@@ -446,15 +445,11 @@ class LoopVerification(namedtuple("LoopVerification", "reports aggregate")):
     __slots__ = ()
 
     def failed_checks(self) -> list[tuple]:
-        bad = []
-        for rep in self.reports:
-            for key, res in rep.checks.items():
-                if res.status == "fail":
-                    bad.append((rep.subgroup, key, res))
-        for key, res in self.aggregate.checks.items():
-            if res.status == "fail":
-                bad.append((None, key, res))
-        return bad
+        """(subgroup, key, result) per failed check; None names the aggregate."""
+        scoped = [(rep.subgroup, rep.checks) for rep in self.reports]
+        scoped.append((None, self.aggregate.checks))
+        return [(h, key, res) for h, checks in scoped for key, res in checks.items()
+                if res.status == "fail"]
 
     def all_pass(self) -> bool:
         return not self.failed_checks()

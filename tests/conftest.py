@@ -35,6 +35,11 @@ def n5():
 
 
 @pytest.fixture
+def z2_cubed():
+    return validate_table([[x ^ y for y in range(8)] for x in range(8)])
+
+
+@pytest.fixture
 def m_s3():
     """Chein's Moufang loop M(S3, 2) of order 12: G u Gu with
     g(hu) = (hg)u, (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g."""

@@ -84,6 +84,12 @@ class TestPrincipalIsotope:
         with pytest.raises(IndexError):
             principal_isotope(z4, 0, -1)
 
+    @pytest.mark.parametrize("f, g", [(True, 0), (0, False), (1.0, 0), (0, "1"), (None, 0)])
+    def test_rejects_non_int_parameters(self, z4, f, g):
+        # bool is an int subclass, and 1.0 indexes no tuple.
+        with pytest.raises(ValueError, match="not both ints"):
+            principal_isotope(z4, f, g)
+
 
 class TestSmarandacheIsotope:
     def test_subgroup_carries_over(self, n5_ctx):

@@ -124,6 +124,12 @@ def test_translations_n5(n5):
         translations(n5, 5)
 
 
+@pytest.mark.parametrize("x", [True, 1.0, "1", None])
+def test_translations_reject_non_int_elements(n5, x):
+    with pytest.raises(ValueError, match="not an int"):
+        translations(n5, x)
+
+
 class TestSubgroups:
     def test_z4_subgroups(self, z4):
         assert [h.elements for h in subgroups(z4)] == [(0,), (0, 2), (0, 1, 2, 3)]

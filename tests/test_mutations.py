@@ -39,16 +39,20 @@ def _statuses(name: str, key: str) -> list[str]:
     return [rep.checks[key].status for rep in verify_theorems(LOOPS[name]()).reports]
 
 
+def _patch_split(monkeypatch, change) -> None:
+    """Rewrite each subgroup's split of AUT and of the pairs' isomorphisms
+    by H: sbs._split then returns change(stable, omega, isos)."""
+    real = sbs._split
+    monkeypatch.setattr(sbs, "_split", lambda b, h: change(*real(b, h)))
+
+
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_t16_catches_a_hole_in_sbs(name, monkeypatch):
-    real = sbs._omega_of
+    def without_largest_w(stable, om, isos):
+        top = max(a.w.images for a in om)
+        return stable, [a for a in om if a.w.images != top], isos
 
-    def without_largest_w(aut, e, hset):
-        out = real(aut, e, hset)
-        top = max(a.w.images for a in out)
-        return [a for a in out if a.w.images != top]
-
-    monkeypatch.setattr(sbs, "_omega_of", without_largest_w)
+    _patch_split(monkeypatch, without_largest_w)
     assert set(_statuses(name, "t16")) == {"fail"}
 
 
@@ -136,7 +140,7 @@ def test_t13_reads_the_identity_images_at_f_and_g(monkeypatch):
     u = Perm(images)
     base = set(sbs_group(s_loop_context(L, h)))
     w = next(p for p in map(Perm, itertools.permutations(range(L.n)))
-             if sbs._keeps(p, hset) and p not in base)
+             if sbs._keeps(p.images, hset) and p not in base)
     real = sbs.autotopism_group
     monkeypatch.setattr(
         sbs, "autotopism_group", lambda L, cap: real(L, cap=cap) + [Autotopism(u, u, w)]
@@ -187,8 +191,8 @@ def _keyed_by_f(real):
 @pytest.mark.parametrize("defect", [_relabelled, _keyed_by_f])
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_t12_recomputes_the_isotope_products_on_h(name, defect, monkeypatch):
-    # t12 recomputes the isotope's products on H, and t13 law-checks the
-    # isotopy (R_g, L_f, id) from L onto the whole isotope table.
+    # Both read the one law check per pair of the isotopy (R_g, L_f, id)
+    # from L onto the whole isotope table, its products on H among them.
     monkeypatch.setattr(sbs, "principal_isotope", defect(sbs.principal_isotope))
     reports = verify_theorems(LOOPS[name]()).reports
     for key in ("t12", "t13"):
@@ -210,8 +214,7 @@ def test_t14_catches_a_lost_bs_member(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_t15_catches_a_lost_omega_element(name, monkeypatch):
-    real = sbs._omega_of
-    monkeypatch.setattr(sbs, "_omega_of", lambda aut, e, hset: real(aut, e, hset)[:-1])
+    _patch_split(monkeypatch, lambda stable, om, isos: (stable, om[:-1], isos))
     assert set(_statuses(name, "t15")) == {"fail"}
 
 
@@ -220,10 +223,7 @@ def test_t15_catches_a_lost_omega_element(name, monkeypatch):
 def test_kernel_checks_catch_the_full_nucleus(key, name, monkeypatch):
     # Without the witness filter, omega's kernel is all of ker pi_3, which
     # is the full middle nucleus; only loops whose nucleus leaves H notice.
-    def any_witness(aut, e, hset):
-        return [a for a in aut if sbs._keeps(a.w, hset)]
-
-    monkeypatch.setattr(sbs, "_omega_of", any_witness)
+    _patch_split(monkeypatch, lambda stable, om, isos: (stable, stable, isos))
     assert set(_statuses(name, key)) == {"fail"}
 
 
@@ -232,10 +232,7 @@ def test_ker_phi_raises_where_t17_fails(name, monkeypatch):
     # Every extra kernel element of the full nucleus also has g * f = e and
     # g in N_mu, so only t17's comparison with the pairs from N_mu and H
     # can reject it.
-    def any_witness(aut, e, hset):
-        return [a for a in aut if sbs._keeps(a.w, hset)]
-
-    monkeypatch.setattr(sbs, "_omega_of", any_witness)
+    _patch_split(monkeypatch, lambda stable, om, isos: (stable, stable, isos))
     L = LOOPS[name]()
     for h in s_subgroups(L):
         with pytest.raises(InvariantViolation, match="kernel"):
@@ -250,16 +247,20 @@ def test_ker_phi_raises_where_t17_fails(name, monkeypatch):
 def test_theta_checks_catch_a_lost_pair(key, name, monkeypatch):
     # n5's theta is only (e, e), so dropping it leaves "theta covers HxH"
     # false, as it was; t20 and c21 see the loss only where theta was full.
-    real = sbs._theta_of
-    monkeypatch.setattr(sbs, "_theta_of", lambda isos, hset: real(isos, hset)[:-1])
+    # The last theta pair loses its H-keeping isomorphisms.
+    def without_last_pair(stable, om, isos):
+        last = max(i for i, (_, _, kept) in enumerate(isos) if kept)
+        pair, p, _ = isos[last]
+        return stable, om, isos[:last] + [(pair, p, [])] + isos[last + 1:]
+
+    _patch_split(monkeypatch, without_last_pair)
     assert set(_statuses(name, key)) == {"fail"}
 
 
 def test_c11_catches_a_skipped_stabilizer_filter(monkeypatch):
-    def any_w(aut, e, hset):
-        return [a for a in aut if a.u.images[e] in hset and a.v.images[e] in hset]
-
-    monkeypatch.setattr(sbs, "_omega_of", any_w)
+    # Every W of BS then passes the one W(H) = H test, and so does every
+    # automorphism and isomorphism; c11 tests SBS against H on its own.
+    monkeypatch.setattr(sbs, "_keeps", lambda images, hset: True)
     assert set(_statuses("V4", "c11")) == {"fail"}
 
 
@@ -278,11 +279,11 @@ def test_t10_witnesses_the_sbs_generators_on_the_loop(name, monkeypatch):
     bs = set(sbs.bs_group(L))
     w = next(p for p in map(Perm, itertools.permutations(range(L.n))) if p not in bs)
     bogus = Autotopism(identity(L.n), identity(L.n), w)
-    real_aut, real_omega = sbs.autotopism_group, sbs._omega_of
+    real_aut = sbs.autotopism_group
     monkeypatch.setattr(sbs, "autotopism_group", lambda L, cap: real_aut(L, cap=cap) + [bogus])
-    monkeypatch.setattr(
-        sbs, "_omega_of",
-        lambda aut, e, hset: [a for a in real_omega(aut, e, hset) if a != bogus] + [bogus],
+    _patch_split(
+        monkeypatch,
+        lambda stable, om, isos: (stable, [a for a in om if a != bogus] + [bogus], isos),
     )
     assert set(_statuses(name, "t10")) == {"fail"}
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import subprocess
@@ -17,6 +19,7 @@ from loopforge import (
     generate_loops,
     identity,
     ker_phi,
+    sbs,
     omega,
     principal_isotope,
     s_loop_context,
@@ -227,6 +230,13 @@ class TestCheckPermGroup:
     def test_flags_missing_identity(self):
         assert "identity" in check_perm_group([Perm([1, 0, 2])])
 
+    @pytest.mark.parametrize("degrees", [(2, 3), (3, 2)])
+    def test_rejects_mixed_degrees(self, degrees):
+        # Either order: the smaller degree first used to pass as a group,
+        # the larger first to raise a bare IndexError.
+        with pytest.raises(DegreeMismatch):
+            check_perm_group([identity(n) for n in degrees])
+
     def test_flags_missing_product(self):
         # identity plus two involutions whose product is absent
         perms = [Perm([0, 1, 2]), Perm([1, 0, 2]), Perm([0, 2, 1])]
@@ -431,10 +441,49 @@ class TestVerifyTheorems:
         assert ver.all_pass()
         assert [rep.subgroup for rep in ver.reports] == [(0, 1), (0, 2), (0, 3)]
 
+    @staticmethod
+    def _digest(ver) -> str:
+        # The reports, each with its subgroup, and the aggregate, as the
+        # report files indent them.
+        doc = {"reports": [[list(r.subgroup), r.to_json_dict()] for r in ver.reports],
+               "aggregate": ver.aggregate.to_json_dict()}
+        return hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
+
     def test_frozen_reports_for_chein_s3(self, m_s3):
         ver = verify_theorems(m_s3, cap=12)
         assert len(ver.reports) == 22 and ver.all_pass()
         assert {(r.aut, r.aum, r.bs, r.n_mu) for r in ver.reports} == {(15552, 108, 15552, 1)}
+        assert self._digest(ver) == (
+            "260650fd29910ea28bbd08b646afa667d62fbc96a890f59588f202419c1ccc13"
+        )
+
+    def test_frozen_reports_for_z2_cubed(self, z2_cubed):
+        # 14 subgroups share the 64 pairs of (Z2)^3, so t8, t12 and t13 read
+        # each pair's record from many subgroups.
+        ver = verify_theorems(z2_cubed)
+        assert len(ver.reports) == 14 and ver.all_pass()
+        assert self._digest(ver) == (
+            "962b0d77e9d009e7849ad6d5f10e5a06b347469a5924ebe3a69102492f80f304"
+        )
+
+    def test_one_isotopy_check_and_two_isotopes_per_pair(self, z2_cubed, monkeypatch):
+        # (Z2)^3 has 64 distinct pairs (f, g) over its 14 subgroups, which
+        # hold 140 (subgroup, pair) combinations between them.
+        calls = {"law": 0, "isotope": 0}
+        real_law, real_isotope = sbs.law_holds, sbs.principal_isotope
+
+        def law(t1, t2, u, v, w):
+            calls["law"] += t2 is not z2_cubed.table
+            return real_law(t1, t2, u, v, w)
+
+        def isotope(L, f, g):
+            calls["isotope"] += 1
+            return real_isotope(L, f, g)
+
+        monkeypatch.setattr(sbs, "law_holds", law)
+        monkeypatch.setattr(sbs, "principal_isotope", isotope)
+        assert verify_theorems(z2_cubed).all_pass()
+        assert calls == {"law": 64, "isotope": 128}
 
     def test_relabelling_changes_only_the_subgroups(self):
         # So verify DIR may verify one loop per isomorphism class: relabelling
