@@ -20,7 +20,6 @@ from .loop_core import (
     SubgroupSet,
     _labellings,
     _orders_of,
-    validate_table,
 )
 from .perm import Perm, _inverse_images, compose, compose_images, generators, identity, inverse
 
@@ -93,21 +92,19 @@ class PrincipalIsotopeRecord(namedtuple("PrincipalIsotopeRecord", "source f g re
 def principal_isotope(L: LoopTable, f: int, g: int) -> PrincipalIsotopeRecord:
     """The loop whose product sends (x, y) to (x / g) * (f \\ y).
 
-    Its identity element is f * g.
+    Its identity element is f * g.  The table is built without
+    validate_table, as autotopism_group builds its targets: row x is row
+    x / g of L with its columns permuted by y -> f \\ y, so it is a Latin
+    square by construction, and row and column f * g are the identity's.
     """
     n = L.n
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (f, g)):
         raise ValueError(f"parameters ({f!r}, {g!r}) are not both ints")
     if not 0 <= f < n or not 0 <= g < n:
         raise IndexError(f"parameters ({f}, {g}) outside 0..{n - 1}")
-    t = L.table
-    ld = L.ldiv[f]
-    rd = L.rdiv
-    raw = [[t[rd[x][g]][ld[y]] for y in range(n)] for x in range(n)]
-    result = validate_table(raw)
-    if result.e != t[f][g]:
-        raise InvariantViolation(f"isotope ({f}, {g}) has identity {result.e}, not {t[f][g]}")
-    return PrincipalIsotopeRecord(L, f, g, result)
+    t, ld = L.table, L.ldiv[f]
+    table = tuple(tuple([t[row[g]][z] for z in ld]) for row in L.rdiv)  # row[g] = x / g
+    return PrincipalIsotopeRecord(L, f, g, LoopTable(table, t[f][g]))
 
 
 def smarandache_principal_isotope(

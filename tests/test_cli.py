@@ -121,6 +121,9 @@ class TestAnalyze:
     def test_rejects_non_subgroup(self, z4_file, capsys):
         assert main(["analyze", z4_file, "--subgroup", "0,1"]) == 2
         assert "not a subgroup" in capsys.readouterr().err
+        for whole_or_trivial in ("0,1,2,3", "0"):
+            assert main(["analyze", z4_file, "--subgroup", whole_or_trivial]) == 2
+            assert "not proper and non-trivial" in capsys.readouterr().err
 
     def test_rejects_malformed_subgroup(self, z4_file, capsys):
         assert main(["analyze", z4_file, "--subgroup", "0,x"]) == 2
@@ -184,6 +187,8 @@ class TestVerifyFile:
     def test_search_cap(self, z4_file, capsys):
         assert main(["verify", z4_file, "--search-cap", "3"]) == 2
         assert "--search-cap" in capsys.readouterr().err
+        assert main(["verify", z4_file, "--search-cap", "1"]) == 2
+        assert "search cap must be at least 2" in capsys.readouterr().err
 
     def test_malformed_subgroup_wins_over_search_cap(self, z4_file, capsys):
         assert main(["verify", z4_file, "--subgroup", "0,x", "--search-cap", "3"]) == 2

@@ -17,6 +17,7 @@ from loopforge import (
     format_table,
     generate_loops,
     is_subgroup,
+    loop_core,
     middle_nucleus,
     parse_table,
     principal_isotope,
@@ -192,6 +193,10 @@ class TestSubgroups:
             for f in range(5):
                 for g in range(5):
                     M = principal_isotope(entry.loop, f, g).result
+                    # Built without validate_table, which must agree.
+                    checked = validate_table(M.table)
+                    assert (checked.table, checked.e) == (M.table, M.e)
+                    assert M.e == entry.loop.table[f][g]
                     first = brute_first_nonassociative(M)
                     assert M.associative == (first is None)
                     assert [h.elements for h in subgroups(M)] == brute_subgroups(M)
@@ -201,6 +206,37 @@ class TestSubgroups:
                     nonassociative += first is not None
         assert identities == {e: 280 for e in range(5)}
         assert nonassociative == 1250
+
+    def test_violation_is_none_exactly_on_the_oracles_subgroups(self):
+        # No inverse check: a closed, associative subset holding e is a group.
+        for n in range(2, 6):
+            for entry in generate_loops(n):
+                L = entry.loop
+                listed = set(brute_subgroups(L))
+                for mask in range(1 << n):
+                    s = tuple(x for x in range(n) if mask >> x & 1)
+                    assert (subgroup_violation(L, s) is None) == (s in listed), (L.table, s)
+
+    def test_rejects_a_closed_subloop_that_is_not_a_group(self, monkeypatch):
+        # The unipotent order-5 loop U times Z2, as (a, b) -> 2a + b: U x {0}
+        # is a closed proper subloop of order 5 that is not associative.
+        u = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        L = validate_table([[2 * u[x // 2][y // 2] + (x + y) % 2 for y in range(10)]
+                            for x in range(10)])
+        rejected = []
+        real = loop_core.SubgroupSet
+
+        def certify(elements, parent):
+            try:
+                return real(elements, parent)
+            except NotSLoop as exc:
+                rejected.append((tuple(sorted(elements)), str(exc)))
+                raise
+
+        monkeypatch.setattr(loop_core, "SubgroupSet", certify)
+        found = [h.elements for h in subgroups(L)]
+        assert ((0, 2, 4, 6, 8), "not a subgroup: not associative at (2, 2, 4)") in rejected
+        assert found == brute_subgroups(L)
 
     def test_order_7_loop_with_a_z3_subgroup(self):
         L = validate_table(

@@ -21,6 +21,7 @@ from loopforge import (
     ker_phi,
     klein_four,
     n5_loop,
+    omega,
     s_loop_context,
     s_subgroups,
     sbs,
@@ -80,7 +81,7 @@ def test_aut_closure_catches_a_lost_labelling(name, monkeypatch):
 def _plant_a_non_autotopism(monkeypatch) -> list:
     """Make one image tuple of the first non-empty read-off onto a target
     whose identity is not L's a bijection that is no isomorphism onto it,
-    so its triple breaks the autotopism law; returns the planted tuples."""
+    so it, and its triple in AUT, break the law; returns the planted tuples."""
     real = isotopy._isomorphism_images
     planted = []
 
@@ -115,6 +116,16 @@ def test_aut_law_checks_the_walks_generators(name, monkeypatch):
     monkeypatch.setattr(isotopy, "_triple_generators", lambda keys, n: (real(keys, n)[0], None))
     with pytest.raises(InvariantViolation, match="search produced a non-autotopism"):
         autotopism_group(LOOPS[name]())
+    assert planted
+
+
+def test_isomorphisms_law_checks_each_read_off(monkeypatch):
+    # The isotope's identity 1 * 2 = 3 is not Z4's, so the defect lands there.
+    L = cyclic_loop(4)
+    M = isotopy.principal_isotope(L, 1, 2).result
+    planted = _plant_a_non_autotopism(monkeypatch)
+    with pytest.raises(InvariantViolation, match="search produced a non-isomorphism"):
+        isotopy.isomorphisms(L, M)
     assert planted
 
 
@@ -216,6 +227,15 @@ def test_t14_catches_a_lost_bs_member(name, monkeypatch):
 def test_t15_catches_a_lost_omega_element(name, monkeypatch):
     _patch_split(monkeypatch, lambda stable, om, isos: (stable, om[:-1], isos))
     assert set(_statuses(name, "t15")) == {"fail"}
+
+
+@pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
+def test_omega_raises_where_t15_fails(name, monkeypatch):
+    _patch_split(monkeypatch, lambda stable, om, isos: (stable, om[:-1], isos))
+    L = LOOPS[name]()
+    for h in s_subgroups(L):
+        with pytest.raises(InvariantViolation, match="omega is not a group"):
+            omega(s_loop_context(L, h))
 
 
 @pytest.mark.parametrize("key", ["t17", "t18"])
