@@ -250,16 +250,16 @@ def _orders_of(L: LoopTable) -> tuple:
     return L._orders
 
 
-def _closure(L: LoopTable, closed: frozenset, x: int, whole: frozenset) -> frozenset:
-    """Smallest closed superset of closed | {x}, for a closed set closed.
+def _closure(L: LoopTable, closed: frozenset, x: int) -> frozenset | None:
+    """Smallest closed superset of closed | {x}, for a closed set closed,
+    or None as soon as the set has more than n/2 elements.
 
     Products of two old elements already lie in closed, so each round
-    multiplies only by the elements the round before added.  Once the set
-    has more than n/2 elements its closure is the whole loop, which is
-    returned at once.  A closed subset S of a finite loop is a subloop:
-    for a in S, y -> a*y maps S into, so onto, itself.  A proper subloop H
-    has |H| <= n/2: for z outside H the products h*z, h in H, are distinct,
-    and none lies in H, since h*z in H would put z = h\\(h*z) in H.
+    multiplies only by the elements the round before added.  A closed
+    subset S of a finite loop is a subloop: for a in S, y -> a*y maps S
+    into, so onto, itself.  A proper subloop H of a loop K has |H| <= |K|/2:
+    for z in K outside H the products h*z, h in H, are distinct, and none
+    lies in H, since h*z in H would put z = h\\(h*z) in H.
     """
     t = L.table
     n = L.n
@@ -268,7 +268,7 @@ def _closure(L: LoopTable, closed: frozenset, x: int, whole: frozenset) -> froze
     frontier = [x]
     while frontier:
         if 2 * len(elems) > n:
-            return whole
+            return None
         fresh = []
         for a in list(elems):
             row = t[a]
@@ -352,58 +352,53 @@ def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
 
 
 def subgroups(L: LoopTable) -> list[SubgroupSet]:
-    """Every subset forming a group under the loop operation.
+    """Every subgroup, sorted by size, then by elements: {e}, then
+    s_subgroups(L), then the whole loop when it is associative."""
+    whole = [SubgroupSet(range(L.n), L)] if L.n > 1 and L.associative else []
+    return [SubgroupSet((L.e,), L)] + s_subgroups(L) + whole
 
-    Only subgroups are grown, one generator at a time, and none is missed.
-    A closed subset of a finite group is itself a subgroup, so every
-    subgroup H is reached through a chain of its own subgroups
-    <x1> < <x1, x2> < ... < H, while a closed set that is not a group lies
-    in no subgroup and is never extended.  For the same reason an element
-    x with x*(x*x) != (x*x)*x, or whose closure with e is not a group, is
-    never tried as a generator.  A closed proper subset has at most n/2
-    elements (see _closure), so every closure is either such a subset or
-    the whole loop.  The whole loop is a group exactly when L.associative;
-    any other closed set is certified or rejected by building its
-    SubgroupSet, once.
+
+def s_subgroups(L: LoopTable) -> list[SubgroupSet]:
+    """Proper non-trivial subgroups, 2 <= size < n, in subgroups' order.
+
+    Only proper subgroups are grown, one generator at a time, and none is
+    missed.  A closed subset of a finite group is a subgroup, so each H is
+    reached through a chain of its own subgroups {e} < <x1> < <x1, x2> <
+    ... < H, while a closed set that is not a group lies in no subgroup and
+    is never extended.  So an x with x*(x*x) != (x*x)*x, or whose closure
+    with e is not a proper subgroup, is never a generator.  Every closed set
+    _closure returns is proper and is certified or rejected by building its
+    SubgroupSet, once.  An S with 4|S| > n is not extended: any closed K > S
+    has S as a proper subloop, so |K| >= 2|S| > n/2 and K = L (see _closure).
     """
-    t = L.table
-    whole = frozenset(range(L.n))
-    groups = {}  # closed set -> its SubgroupSet, or None when not a group
+    t, n, e = L.table, L.n, L.e
+    groups = {}  # proper closed set -> its SubgroupSet, or None when not a group
 
-    def certify(closed: frozenset) -> SubgroupSet | None:
-        if closed not in groups:
-            h = None
-            if closed != whole or L.associative:
-                try:
-                    h = SubgroupSet(tuple(closed), L)
-                except NotSLoop:
-                    pass
-            groups[closed] = h
-        return groups[closed]
+    def certify(closed: frozenset | None) -> SubgroupSet | None:
+        if closed is not None and closed not in groups:
+            try:
+                groups[closed] = SubgroupSet(tuple(closed), L)
+            except NotSLoop:
+                groups[closed] = None
+        return groups.get(closed)
 
-    trivial = frozenset((L.e,))
-    certify(trivial)
+    trivial = frozenset((e,))
     generators = []
-    for x in range(L.n):
+    for x in range(n):
         xx = t[x][x]
-        if x != L.e and t[x][xx] == t[xx][x] and certify(_closure(L, trivial, x, whole)) is not None:
+        if x != e and t[x][xx] == t[xx][x] and certify(_closure(L, trivial, x)) is not None:
             generators.append(x)
-    queue = [s for s, h in groups.items() if h is not None and s != trivial]
+    queue = [s for s, h in groups.items() if h is not None]
     while queue:
         s = queue.pop()
         for x in generators:
-            if x not in s:
-                grown = _closure(L, s, x, whole)
+            if x not in s and 4 * len(s) <= n:
+                grown = _closure(L, s, x)
                 if grown not in groups and certify(grown) is not None:
                     queue.append(grown)
     found = [h for h in groups.values() if h is not None]
     found.sort(key=lambda h: (len(h.elements), h.elements))
     return found
-
-
-def s_subgroups(L: LoopTable) -> list[SubgroupSet]:
-    """Proper non-trivial subgroups: 2 <= size < n."""
-    return [h for h in subgroups(L) if 2 <= len(h) < L.n]
 
 
 def middle_nucleus(L: LoopTable) -> SubgroupSet:

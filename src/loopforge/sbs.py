@@ -56,6 +56,11 @@ def _keeps(images: tuple, hset) -> bool:
     return all(images[x] in hset for x in hset)
 
 
+def _sa(aum: list, hset) -> list:
+    """SA, the members of AUM that map the subgroup into (hence onto) itself."""
+    return [a for a in aum if _keeps(a.images, hset)]
+
+
 def ssym(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
     """All permutations mapping the subgroup into itself, sorted.
 
@@ -172,7 +177,7 @@ def _derive(b: _Base, hsub) -> _Subgroup:
     n, hset = L.n, frozenset(h)
     stable, om, isos = _split(b, h)
     sbs_set = frozenset(a.w.images for a in om)
-    sa = [a for a in b.aum if _keeps(a.images, hset)]
+    sa = _sa(b.aum, hset)
     # An H-keeping isomorphism onto the isotope inverts to one back.
     th = [pair for pair, _, kept in isos if kept]
     ide = identity(n)
@@ -209,7 +214,7 @@ def sbs_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
 
 def sa_group(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Perm]:
     """Subgroup-stabilizing automorphisms, sorted: SSYM meet AUM."""
-    return _derive(_base(ctx.loop, cap), ctx.h).sa
+    return _sa(automorphism_group(ctx.loop, cap=cap), frozenset(ctx.h))
 
 
 def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:

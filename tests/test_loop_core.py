@@ -131,6 +131,13 @@ def test_translations_reject_non_int_elements(n5, x):
         translations(n5, x)
 
 
+def _u_times_z2():
+    """The unipotent order-5 loop U times Z2, as (a, b) -> 2a + b."""
+    u = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    return validate_table([[2 * u[x // 2][y // 2] + (x + y) % 2 for y in range(10)]
+                           for x in range(10)])
+
+
 class TestSubgroups:
     def test_z4_subgroups(self, z4):
         assert [h.elements for h in subgroups(z4)] == [(0,), (0, 2), (0, 1, 2, 3)]
@@ -145,9 +152,16 @@ class TestSubgroups:
     def test_z5_has_no_proper_subgroup(self, z5):
         assert s_subgroups(z5) == []
 
-    def test_matches_powerset_oracle(self, z4, z5, klein, n5, loop_3x3_shifted):
-        z2_cubed = validate_table([[a ^ b for b in range(8)] for a in range(8)])
-        for L in (z4, z5, klein, n5, loop_3x3_shifted, cyclic_loop(8), cyclic_loop(9), z2_cubed):
+    def test_matches_powerset_oracle(self, z4, z5, klein, n5, loop_3x3_shifted, z2_cubed, m_s3):
+        # Above order 6 the loops hold subgroups S with 4|S| > n, from which
+        # no join is tried; the isotopes have identities other than 0.
+        isotopes = [principal_isotope(L, f, g).result
+                    for L, pairs in ((z2_cubed, ((1, 2), (3, 5), (6, 7), (7, 6), (4, 4), (5, 1))),
+                                     (m_s3, ((1, 2), (3, 5), (6, 7), (7, 6), (9, 11), (11, 4))))
+                    for f, g in pairs]
+        assert len({M.e for M in isotopes}) > 6
+        for L in (z4, z5, klein, n5, loop_3x3_shifted, cyclic_loop(8), cyclic_loop(9), z2_cubed,
+                  m_s3, _u_times_z2(), cyclic_loop(12), *isotopes):
             assert [h.elements for h in subgroups(L)] == brute_subgroups(L)
 
     def test_matches_powerset_oracle_on_every_loop_up_to_order_6(self):
@@ -218,11 +232,8 @@ class TestSubgroups:
                     assert (subgroup_violation(L, s) is None) == (s in listed), (L.table, s)
 
     def test_rejects_a_closed_subloop_that_is_not_a_group(self, monkeypatch):
-        # The unipotent order-5 loop U times Z2, as (a, b) -> 2a + b: U x {0}
-        # is a closed proper subloop of order 5 that is not associative.
-        u = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-        L = validate_table([[2 * u[x // 2][y // 2] + (x + y) % 2 for y in range(10)]
-                            for x in range(10)])
+        # U x {0} is a closed proper subloop of order 5 that is not associative.
+        L = _u_times_z2()
         rejected = []
         real = loop_core.SubgroupSet
 
@@ -237,6 +248,32 @@ class TestSubgroups:
         found = [h.elements for h in subgroups(L)]
         assert ((0, 2, 4, 6, 8), "not a subgroup: not associative at (2, 2, 4)") in rejected
         assert found == brute_subgroups(L)
+
+    def test_s_subgroups_certifies_only_proper_nontrivial_sets(self, z2_cubed, n5, monkeypatch):
+        # Z6 with the intercalate on rows and columns {1, 4} switched
+        # (2 <-> 5): {0, 3} keeps its table, {0, 2, 4} is no longer closed.
+        rows = [list(r) for r in cyclic_loop(6).table]
+        for r, c in ((1, 1), (1, 4), (4, 1), (4, 4)):
+            rows[r][c] = {2: 5, 5: 2}[rows[r][c]]
+        switched = validate_table(rows)
+        assert not switched.associative
+        built = []
+        real = loop_core.SubgroupSet
+
+        def certify(elements, parent):
+            elements = tuple(elements)
+            built.append(tuple(sorted(elements)))
+            return real(elements, parent)
+
+        monkeypatch.setattr(loop_core, "SubgroupSet", certify)
+        for L in (cyclic_loop(6), z2_cubed, n5, switched):
+            built.clear()
+            found = [h.elements for h in s_subgroups(L)]
+            assert found == [s for s in brute_subgroups(L) if 1 < len(s) < L.n]
+            assert [s for s in built if len(s) in (1, L.n)] == []
+            assert set(found) <= set(built)
+        assert [h.elements for h in subgroups(validate_table([[0]]))] == [(0,)]
+        assert [h.elements for h in subgroups(cyclic_loop(2))] == [(0,), (0, 1)]
 
     def test_order_7_loop_with_a_z3_subgroup(self):
         L = validate_table(

@@ -165,6 +165,22 @@ class TestSAGroup:
         for ctx in (z4_ctx, n5_ctx):
             assert {p.images for p in sa_group(ctx)} <= {p.images for p in sbs_group(ctx)}
 
+    @pytest.mark.parametrize("name", ["n5", "z4", "m_s3"])
+    def test_reads_aum_only(self, name, request, monkeypatch):
+        # SA filters AUM, so sa_group needs neither the autotopism search
+        # nor the isotope isomorphisms that the verify route reads.
+        L = request.getfixturevalue(name)
+        b = sbs._base(L, 12)
+        expected = {h.elements: sbs._derive(b, h).sa for h in s_subgroups(L)}
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("sa_group must read AUM only")
+
+        monkeypatch.setattr(sbs, "autotopism_group", refuse)
+        monkeypatch.setattr(sbs, "isomorphisms", refuse)
+        for h, sa in expected.items():
+            assert sa_group(s_loop_context(L, h), cap=12) == sa
+
 
 class TestOmega:
     def test_z4_size(self, z4_ctx):
