@@ -15,7 +15,6 @@ from .catalog import (
     cyclic_loop,
     generate_loops,
     iter_catalog,
-    klein_four,
     n5_loop,
     read_table,
     write_catalog,
@@ -37,12 +36,8 @@ from .errors import (
 from .isotopy import (
     DEFAULT_SEARCH_CAP,
     Autotopism,
-    PrincipalIsotopeRecord,
     autotopism_group,
-    autotopism_inverse,
-    autotopism_product,
     automorphism_group,
-    identity_autotopism,
     isomorphisms,
     principal_isotope,
     s_isomorphisms,
@@ -53,14 +48,12 @@ from .loop_core import (
     SLoopContext,
     SubgroupSet,
     format_table,
-    is_subgroup,
     middle_nucleus,
     parse_table,
     s_loop_context,
     s_subgroups,
     subgroup_violation,
     subgroups,
-    translations,
     validate_table,
 )
 from .perm import Perm, compose, identity, inverse

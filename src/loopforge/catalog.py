@@ -325,10 +325,6 @@ def cyclic_loop(n: int) -> LoopTable:
     return validate_table([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
-def klein_four() -> LoopTable:
-    return validate_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-
-
 def n5_loop() -> LoopTable:
     """The smallest-order nonassociative loop used throughout the tests."""
     return validate_table(

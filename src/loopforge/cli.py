@@ -158,9 +158,9 @@ def cmd_isotope(args) -> int:
     L = catalog.read_table(args.file)
     if not 0 <= args.f < L.n or not 0 <= args.g < L.n:
         raise LoopforgeError(f"-f/-g must lie in 0..{L.n - 1}")
-    record = principal_isotope(L, args.f, args.g)
-    catalog.write_table(record.result, args.out)
-    print(f"{args.out}: order-{record.result.n} isotope with identity {record.result.e}")
+    iso = principal_isotope(L, args.f, args.g)
+    catalog.write_table(iso, args.out)
+    print(f"{args.out}: order-{iso.n} isotope with identity {iso.e}")
     return 0
 
 

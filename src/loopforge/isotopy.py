@@ -21,7 +21,7 @@ from .loop_core import (
     _labellings,
     _orders_of,
 )
-from .perm import Perm, _inverse_images, compose, compose_images, generators, identity, inverse
+from .perm import Perm, _inverse_images, compose_images, generators
 
 DEFAULT_SEARCH_CAP = 10
 
@@ -59,23 +59,6 @@ class Autotopism(namedtuple("Autotopism", "u v w")):
     def key(self) -> tuple:
         return (self.u.images, self.v.images, self.w.images)
 
-    def holds_for(self, L: LoopTable) -> bool:
-        """Whether the triple is an autotopism of L; False for another degree."""
-        return law_holds(L.table, L.table, self.u.images, self.v.images, self.w.images)
-
-
-def autotopism_product(a: Autotopism, b: Autotopism) -> Autotopism:
-    return Autotopism(compose(a.u, b.u), compose(a.v, b.v), compose(a.w, b.w))
-
-
-def autotopism_inverse(a: Autotopism) -> Autotopism:
-    return Autotopism(inverse(a.u), inverse(a.v), inverse(a.w))
-
-
-def identity_autotopism(n: int) -> Autotopism:
-    i = identity(n)
-    return Autotopism(i, i, i)
-
 
 def _triple_generators(keys: list[tuple], n: int) -> tuple[list, str | None]:
     """perm.generators on degree-n image triples, composed componentwise."""
@@ -83,13 +66,7 @@ def _triple_generators(keys: list[tuple], n: int) -> tuple[list, str | None]:
     return generators(keys, lambda a, b: tuple(map(compose_images, a, b)), (one, one, one))
 
 
-class PrincipalIsotopeRecord(namedtuple("PrincipalIsotopeRecord", "source f g result")):
-    """A source loop, the pair (f, g), and the resulting isotope."""
-
-    __slots__ = ()
-
-
-def principal_isotope(L: LoopTable, f: int, g: int) -> PrincipalIsotopeRecord:
+def principal_isotope(L: LoopTable, f: int, g: int) -> LoopTable:
     """The loop whose product sends (x, y) to (x / g) * (f \\ y).
 
     Its identity element is f * g.  The table is built without
@@ -104,12 +81,10 @@ def principal_isotope(L: LoopTable, f: int, g: int) -> PrincipalIsotopeRecord:
         raise IndexError(f"parameters ({f}, {g}) outside 0..{n - 1}")
     t, ld = L.table, L.ldiv[f]
     table = tuple(tuple([t[row[g]][z] for z in ld]) for row in L.rdiv)  # row[g] = x / g
-    return PrincipalIsotopeRecord(L, f, g, LoopTable(table, t[f][g]))
+    return LoopTable(table, t[f][g])
 
 
-def smarandache_principal_isotope(
-    ctx: SLoopContext, f: int, g: int
-) -> tuple[PrincipalIsotopeRecord, SLoopContext]:
+def smarandache_principal_isotope(ctx: SLoopContext, f: int, g: int) -> SLoopContext:
     """Principal isotope with f, g drawn from the chosen subgroup.
 
     The subgroup carries over: the same element set is certified as a group
@@ -117,13 +92,13 @@ def smarandache_principal_isotope(
     """
     if f not in ctx.h or g not in ctx.h:
         raise NotSElements(f"({f}, {g}) not inside the subgroup {list(ctx.h.elements)}")
-    record = principal_isotope(ctx.loop, f, g)
+    iso = principal_isotope(ctx.loop, f, g)
     try:
-        new_h = SubgroupSet(ctx.h.elements, record.result)
+        new_h = SubgroupSet(ctx.h.elements, iso)
     except NotSLoop as exc:
         violation = str(exc).removeprefix("not a subgroup: ")
         raise InvariantViolation(f"subgroup lost under isotopy: {violation}") from None
-    return record, SLoopContext(record.result, new_h)
+    return SLoopContext(iso, new_h)
 
 
 def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:

@@ -1,4 +1,4 @@
-"""Finite loops as Cayley tables: validation, translations, subgroups, nuclei.
+"""Finite loops as Cayley tables: validation, division, subgroups, nuclei.
 
 Elements are 0..n-1.  A valid table has every row and column a permutation
 (unique division on both sides) and a two-sided identity element, so each
@@ -11,7 +11,7 @@ import collections
 from typing import Iterable, Sequence
 
 from .errors import NoIdentity, NotLatin, NotSLoop, NotSquare, ParseError
-from .perm import Perm, _inverse_images
+from .perm import _inverse_images
 
 
 class LoopTable:
@@ -116,17 +116,6 @@ def _associative(rows: tuple, e: int) -> bool:
     return True
 
 
-def translations(L: LoopTable, x: int) -> tuple[Perm, Perm]:
-    """Left and right translation by x: y -> x*y and y -> y*x."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"element {x!r} is not an int")
-    if not 0 <= x < L.n:
-        raise IndexError(f"element {x} outside 0..{L.n - 1}")
-    left = Perm(L.table[x])
-    right = Perm(L.table[y][x] for y in range(L.n))
-    return left, right
-
-
 def subgroup_violation(L: LoopTable, elements: Iterable[int]) -> str | None:
     """Why the subset fails to be a group under L's operation, or None."""
     sset = set(elements)
@@ -165,10 +154,6 @@ def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
     # y -> a*y and y -> y*a are injective maps of the finite closed subset into
     # itself, so onto: a has inverses on both sides in it, equal by associativity.
     return None
-
-
-def is_subgroup(L: LoopTable, elements: Iterable[int]) -> bool:
-    return subgroup_violation(L, elements) is None
 
 
 class SubgroupSet:

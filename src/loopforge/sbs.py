@@ -11,12 +11,12 @@ by the middle nucleus.
 Every autotopism (U, V, W) has this special shape with theta = W and
 witness (f, g) = (U(e), V(e)), so BS, SBS, omega and the kernel are
 projections or filters of one autotopism_group result, and SA filters
-automorphism_group's.  _derive computes them once per subgroup, for the
-_CHECKS table and the public projections, from one split by H of AUT and
-of the isomorphisms onto each pair's isotope.  The groups come back as
-sorted lists of Perm, omega and its kernel as lists of Autotopism whose
-witness is (a.u.images[e], a.v.images[e]), and special_witnesses as (f, g)
-pairs.
+automorphism_group's.  _derive computes them once per subgroup for the
+_CHECKS table, from _stable's split of AUT by H and _pairs' isomorphisms
+onto each pair's isotope; each public projection runs only the half it
+reads.  The groups come back as sorted lists of Perm, omega and its kernel
+as lists of Autotopism whose witness is (a.u.images[e], a.v.images[e]),
+and special_witnesses as (f, g) pairs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .isotopy import (
     principal_isotope,
 )
 from .loop_core import LoopTable, SLoopContext, middle_nucleus, s_subgroups, subgroup_violation
-from .perm import Perm, compose_images, generators, identity
+from .perm import Perm, compose_images, generators
 
 
 def check_perm_group(perms) -> str | None:
@@ -109,10 +109,10 @@ def _result(ok: bool, detail: str) -> CheckResult:
     return CheckResult("pass" if ok else "fail", detail)
 
 
-class _Base(namedtuple("_Base", "loop cap aut bs aum nucleus isotopes")):
-    """What every subgroup of one loop shares: AUT and BS read off it, AUM,
-    the middle nucleus, and isotopes, the _Pair of each (f, g) asked for,
-    so subgroups holding f and g share it."""
+class _Base(namedtuple("_Base", "loop cap aut bs nucleus isotopes")):
+    """What every subgroup of one loop shares: AUT and BS read off it, the
+    middle nucleus, and isotopes, the _Pair of each (f, g) asked for, so
+    subgroups holding f and g share it."""
 
     __slots__ = ()
 
@@ -120,42 +120,55 @@ class _Base(namedtuple("_Base", "loop cap aut bs aum nucleus isotopes")):
 def _base(L: LoopTable, cap: int) -> _Base:
     aut = autotopism_group(L, cap=cap)
     return _Base(
-        L, cap, aut, frozenset(a.w.images for a in aut), automorphism_group(L, cap=cap),
-        frozenset(middle_nucleus(L).elements), {},
+        L, cap, aut, frozenset(a.w.images for a in aut), frozenset(middle_nucleus(L).elements), {}
     )
 
 
-class _Pair(namedtuple("_Pair", "record isos isotopic round_trip")):
-    """The (f, g) isotope record, the isomorphisms from L onto it, whether
-    L's table maps onto its table under (x * g, f * y, id), and whether its
+class _Pair(namedtuple("_Pair", "isotope isos isotopic round_trip")):
+    """The (f, g) isotope, the isomorphisms from L onto it, whether L's
+    table maps onto its table under (x * g, f * y, id), and whether its
     (g, f) isotope is L's table again."""
 
     __slots__ = ()
 
 
-def _split(b: _Base, h: tuple) -> tuple[list, list, list]:
-    """The one split by H: AUT's triples whose W maps H onto H, testing
-    each W of BS once; omega, those with U(e), V(e) in H, in AUT's order;
-    and ((f, g), its _Pair, the images of its isomorphisms that keep H)
-    for each (f, g) in H x H."""
-    L, hset = b.loop, frozenset(h)
-    t, e = L.table, L.e
+def _stable(b: _Base, hset: frozenset) -> tuple[list, list]:
+    """AUT's triples whose W maps H onto H, testing each W of BS once, and
+    omega, those with U(e), V(e) in H, in AUT's order."""
+    e = b.loop.e
     keep = {w for w in b.bs if _keeps(w, hset)}
     stable = [a for a in b.aut if a.w.images in keep]
-    isos = []
+    return stable, [a for a in stable if a.u.images[e] in hset and a.v.images[e] in hset]
+
+
+def _pairs(L: LoopTable, cap: int, memo: dict, h: tuple) -> list:
+    """((f, g), its _Pair, the images of its isomorphisms that keep H) for
+    each (f, g) in H x H; memo holds the _Pair of each (f, g) asked for."""
+    t, hset = L.table, frozenset(h)
+    out = []
     for f, g in itertools.product(h, h):
-        if (f, g) not in b.isotopes:
-            rec = principal_isotope(L, f, g)
+        if (f, g) not in memo:
+            M = principal_isotope(L, f, g)
             # One law check, (x * g) o (f * y) = x * y, pins the whole table.
-            b.isotopes[f, g] = _Pair(
-                rec, isomorphisms(L, rec.result, cap=b.cap),
-                law_holds(t, rec.result.table, [row[g] for row in t], t[f], tuple(range(L.n))),
-                principal_isotope(rec.result, g, f).result.table == t,
+            memo[f, g] = _Pair(
+                M, isomorphisms(L, M, cap=cap),
+                law_holds(t, M.table, [row[g] for row in t], t[f], tuple(range(L.n))),
+                principal_isotope(M, g, f).table == t,
             )
-        p = b.isotopes[f, g]
-        isos.append(((f, g), p, [a.images for a in p.isos if _keeps(a.images, hset)]))
-    om = [a for a in stable if a.u.images[e] in hset and a.v.images[e] in hset]
-    return stable, om, isos
+        p = memo[f, g]
+        out.append(((f, g), p, [a.images for a in p.isos if _keeps(a.images, hset)]))
+    return out
+
+
+def _kernel(L: LoopTable, om: list, nucleus_h: frozenset) -> tuple[list, CheckResult]:
+    """ker, omega's triples whose W is the identity, and t17's comparison of
+    it with the pairs of N_mu meet H."""
+    n, ld = L.n, L.ldiv
+    ide = tuple(range(n))
+    ker = [a for a in om if a.w.images == ide]
+    expected = {(tuple(L.rdiv[x][g] for x in range(n)), ld[ld[g][L.e]], ide) for g in nucleus_h}
+    ok = expected == {a.key() for a in ker}
+    return ker, _result(ok, f"|ker|={len(ker)} nucleus pairs={len(expected)}")
 
 
 class _Subgroup(namedtuple(
@@ -163,40 +176,34 @@ class _Subgroup(namedtuple(
     "h hset ssym stable omega omega_violation sbs sbs_gens sbs_violation sa isos theta ker"
     " kernel n_mu_cap_h gs_loop criterion",
 )):
-    """Every object the checks compare for one subgroup H, from its _split;
-    sbs holds image tuples, sbs_gens and sbs_violation are the one group
-    walk of sorted(sbs), read by t10 and t16, and omega_violation and
-    kernel are t15's and t17's outcomes."""
+    """Every object the checks compare for one subgroup H; sbs holds image
+    tuples, sbs_gens and sbs_violation are the one group walk of sorted(sbs),
+    read by t10 and t16, and omega_violation and kernel are t15's and t17's
+    outcomes."""
 
     __slots__ = ()
 
 
-def _derive(b: _Base, hsub) -> _Subgroup:
+def _derive(b: _Base, aum: list, hsub) -> _Subgroup:
     """The one derivation of omega, SBS, SA, theta and ker for hsub."""
     L, h = b.loop, hsub.elements
     n, hset = L.n, frozenset(h)
-    stable, om, isos = _split(b, h)
+    stable, om = _stable(b, hset)
+    isos = _pairs(L, b.cap, b.isotopes, h)
     sbs_set = frozenset(a.w.images for a in om)
-    sa = _sa(b.aum, hset)
+    sa = _sa(aum, hset)
     # An H-keeping isomorphism onto the isotope inverts to one back.
     th = [pair for pair, _, kept in isos if kept]
-    ide = identity(n)
-    ker = [a for a in om if a.w == ide]
-    # t17: ker is exactly the N_mu-in-H pairs.  Kept in the record so that
-    # ker_phi raises exactly when t17 fails.
-    ld, nucleus_h = L.ldiv, b.nucleus & hset
-    expected = {(tuple(L.rdiv[x][g] for x in range(n)), ld[ld[g][L.e]], ide.images)
-                for g in nucleus_h}
-    kernel_ok = expected == {a.key() for a in ker}
-    kernel_detail = f"|ker|={len(ker)} nucleus pairs={len(expected)}"
+    nucleus_h = b.nucleus & hset
+    # Kept in the record so that ker_phi raises exactly when t17 fails.
+    ker, kernel = _kernel(L, om, nucleus_h)
     square = len(h) * len(h)
-    sbs_gens, sbs_violation = generators(sorted(sbs_set), compose_images, ide.images)
+    sbs_gens, sbs_violation = generators(sorted(sbs_set), compose_images, tuple(range(n)))
     return _Subgroup(
         h=h, hset=hset, ssym=math.factorial(len(h)) * math.factorial(n - len(h)), stable=stable,
         omega=om, omega_violation=_triple_generators([a.key() for a in om], n)[1],
         sbs=sbs_set, sbs_gens=sbs_gens, sbs_violation=sbs_violation, sa=sa, isos=isos, theta=th,
-        ker=ker, kernel=_result(kernel_ok, kernel_detail),
-        n_mu_cap_h=len(nucleus_h), gs_loop=len(th) == square,
+        ker=ker, kernel=kernel, n_mu_cap_h=len(nucleus_h), gs_loop=len(th) == square,
         criterion=square * len(sa) == len(sbs_set) * len(nucleus_h),
     )
 
@@ -222,26 +229,29 @@ def omega(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
     the subgroup and theta stabilizing it, sorted by triple; the witness of
     a is (f, g) = (a.u.images[e], a.v.images[e]).  Raises exactly when t15
     fails."""
-    s = _derive(_base(ctx.loop, cap), ctx.h)
-    if s.omega_violation is not None:
-        raise InvariantViolation(f"omega is not a group: {s.omega_violation}")
-    return s.omega
+    _, om = _stable(_base(ctx.loop, cap), frozenset(ctx.h))
+    violation = _triple_generators([a.key() for a in om], ctx.loop.n)[1]
+    if violation is not None:
+        raise InvariantViolation(f"omega is not a group: {violation}")
+    return om
 
 
 def theta_set(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[tuple[int, int]]:
     """Subgroup pairs (f, g) whose Smarandache f,g-principal isotope admits a
     subgroup-preserving isomorphism onto the loop, as (e, e) does via the
     identity map."""
-    return _derive(_base(ctx.loop, cap), ctx.h).theta
+    return [pair for pair, _, kept in _pairs(ctx.loop, cap, {}, ctx.h.elements) if kept]
 
 
 def ker_phi(ctx: SLoopContext, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:
     """Omega elements whose third component is the identity.  Raises
     exactly when t17 fails."""
-    s = _derive(_base(ctx.loop, cap), ctx.h)
-    if s.kernel.status == "fail":
-        raise InvariantViolation(f"kernel is not the nucleus pairs in H: {s.kernel.detail}")
-    return s.ker
+    b, hset = _base(ctx.loop, cap), frozenset(ctx.h)
+    _, om = _stable(b, hset)
+    ker, kernel = _kernel(ctx.loop, om, b.nucleus & hset)
+    if kernel.status == "fail":
+        raise InvariantViolation(f"kernel is not the nucleus pairs in H: {kernel.detail}")
+    return ker
 
 
 def _t10(b: _Base, s: _Subgroup) -> CheckResult:
@@ -275,7 +285,7 @@ def _t12(b: _Base, s: _Subgroup) -> CheckResult:
     for (f, g), p, _ in s.isos:
         if not p.isotopic:
             return _not_isotopic(f, g)
-        violation = subgroup_violation(p.record.result, s.h)
+        violation = subgroup_violation(p.isotope, s.h)
         if violation is not None:
             return _result(False, f"isotope ({f},{g}) lost the subgroup: {violation}")
     return _result(True, f"{len(s.isos)} isotopes valid, subgroup preserved")
@@ -474,13 +484,14 @@ def verify_theorems(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> LoopVerifica
         raise NotSLoop(f"order-{n} loop has no proper non-trivial subgroup")
 
     b = _base(L, cap)
+    aum = automorphism_group(L, cap=cap)
     bs = len(b.bs)
     reports = []
     for hsub in subs:
-        s = _derive(b, hsub)
+        s = _derive(b, aum, hsub)
         reports.append(CardinalityReport(
             subgroup=s.h, order=n, h=len(s.h), bs=bs, sbs=len(s.sbs), ssym=s.ssym,
-            aum=len(b.aum), sa=len(s.sa), aut=len(b.aut), omega=len(s.omega),
+            aum=len(aum), sa=len(s.sa), aut=len(b.aut), omega=len(s.omega),
             theta=len(s.theta), n_mu=len(b.nucleus), n_mu_cap_h=s.n_mu_cap_h,
             ker_phi=len(s.ker), checks={key: fn(b, s) for key, fn in _CHECKS},
         ))

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 import loopforge
-from loopforge import cyclic_loop, klein_four, n5_loop, s_loop_context, validate_table
+from loopforge import cyclic_loop, n5_loop, s_loop_context, validate_table
+
+
+def klein_four():
+    """The Klein four-group Z2 x Z2 on 0..3."""
+    return validate_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from loopforge import (
     format_table,
     generate_loops,
     iter_catalog,
-    klein_four,
     n5_loop,
     read_table,
     s_subgroups,

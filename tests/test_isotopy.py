@@ -3,26 +3,19 @@ import functools
 import hashlib
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from loopforge import (
-    Autotopism,
     InvariantViolation,
     NotSElements,
-    Perm,
     SearchCapExceeded,
     autotopism_group,
-    autotopism_inverse,
-    autotopism_product,
     automorphism_group,
     bs_group,
     canonical_form,
     cyclic_loop,
     generate_loops,
-    identity,
-    identity_autotopism,
     isomorphisms,
     middle_nucleus,
     principal_isotope,
@@ -33,6 +26,7 @@ from loopforge import (
     validate_table,
 )
 from loopforge import isotopy, loop_core
+from loopforge.perm import _inverse_images, compose_images
 
 from oracles import (
     brute_autotopisms_by_u,
@@ -41,15 +35,15 @@ from oracles import (
     brute_isomorphisms,
     carry_autotopisms,
     group_axiom_violation,
+    is_autotopism,
 )
 
 
 class TestPrincipalIsotope:
     def test_z4_example(self, z4):
-        record = principal_isotope(z4, 1, 2)
-        assert record.f == 1 and record.g == 2
-        assert record.result.e == z4.table[1][2] == 3
-        assert record.result.table == (
+        M = principal_isotope(z4, 1, 2)
+        assert M.e == z4.table[1][2] == 3
+        assert M.table == (
             (1, 2, 3, 0),
             (2, 3, 0, 1),
             (3, 0, 1, 2),
@@ -57,15 +51,13 @@ class TestPrincipalIsotope:
         )
 
     def test_identity_parameters_reproduce_the_loop(self, n5):
-        record = principal_isotope(n5, 0, 0)
-        assert record.result.table == n5.table
+        assert principal_isotope(n5, 0, 0).table == n5.table
 
     def test_defining_law(self, n5):
         # x' * y' = x * y for x' = x * g, y' = f * y
         f, g = 1, 1
-        record = principal_isotope(n5, f, g)
         t = n5.table
-        iso = record.result.table
+        iso = principal_isotope(n5, f, g).table
         for x in range(5):
             for y in range(5):
                 assert iso[t[x][g]][t[f][y]] == t[x][y]
@@ -74,9 +66,8 @@ class TestPrincipalIsotope:
         for L in (z4, n5):
             for f in range(L.n):
                 for g in range(L.n):
-                    forward = principal_isotope(L, f, g)
-                    back = principal_isotope(forward.result, g, f)
-                    assert back.result.table == L.table
+                    back = principal_isotope(principal_isotope(L, f, g), g, f)
+                    assert back.table == L.table
 
     def test_rejects_out_of_range(self, z4):
         with pytest.raises(IndexError):
@@ -93,10 +84,10 @@ class TestPrincipalIsotope:
 
 class TestSmarandacheIsotope:
     def test_subgroup_carries_over(self, n5_ctx):
-        record, ictx = smarandache_principal_isotope(n5_ctx, 1, 1)
+        ictx = smarandache_principal_isotope(n5_ctx, 1, 1)
         assert ictx.h.elements == (0, 1)
-        assert ictx.loop.table == record.result.table
-        assert record.result.e == 0  # 1 * 1 = 0 in the base loop
+        assert ictx.loop.table == principal_isotope(n5_ctx.loop, 1, 1).table
+        assert ictx.loop.e == 0  # 1 * 1 = 0 in the base loop
 
     def test_rejects_parameters_outside_subgroup(self, z4_ctx):
         with pytest.raises(NotSElements):
@@ -111,7 +102,7 @@ class TestSmarandacheIsotope:
         for i in range(4):
             for j in range(4):
                 rows[swap[i]][swap[j]] = swap[(i + j) % 4]
-        lost = SimpleNamespace(result=validate_table(rows))
+        lost = validate_table(rows)
         monkeypatch.setattr(isotopy, "principal_isotope", lambda L, f, g: lost)
         with pytest.raises(
             InvariantViolation, match=r"^subgroup lost under isotopy: not closed: 2\*2 = 1$"
@@ -137,19 +128,23 @@ class TestSmarandacheIsotope:
 
 class TestAutotopisms:
     def test_identity_autotopism(self, z4):
-        assert identity_autotopism(4).holds_for(z4)
+        ide = tuple(range(4))
+        assert is_autotopism(z4, ide, ide, ide)
+        assert autotopism_group(z4)[0].key() == (ide, ide, ide)
 
-    def test_holds_for_rejects_wrong_triple(self, z4):
-        shift = Perm([1, 2, 3, 0])
-        ide = Perm(range(4))
-        assert not Autotopism(shift, ide, ide).holds_for(z4)
+    def test_law_holds_rejects_wrong_triple(self, z4):
+        t, shift, ide = z4.table, (1, 2, 3, 0), (0, 1, 2, 3)
+        assert not isotopy.law_holds(t, t, shift, ide, ide)
         # U = shift by 1, V = identity, W = shift by 1 works in Z4
-        assert Autotopism(shift, ide, shift).holds_for(z4)
+        assert isotopy.law_holds(t, t, shift, ide, shift)
 
-    def test_holds_for_rejects_another_degree(self, z4):
+    def test_law_holds_rejects_another_degree(self, z4):
+        t = z4.table
         for n in (2, 8):
-            assert not Autotopism(identity(n), identity(n), identity(n)).holds_for(z4)
-        assert not Autotopism(identity(4), identity(4), identity(5)).holds_for(z4)
+            ide = tuple(range(n))
+            assert not isotopy.law_holds(t, t, ide, ide, ide)
+        ide = tuple(range(4))
+        assert not isotopy.law_holds(t, t, ide, ide, tuple(range(5)))
 
     def test_law_kernel_rejects_short_tuples(self, z4):
         t = z4.table
@@ -206,11 +201,11 @@ class TestAutotopisms:
         assert len(autotopism_group(klein)) == 16 * 6
 
     def test_product_and_inverse_stay_autotopisms(self, n5):
-        auts = autotopism_group(n5)
-        for a in auts[:6]:
-            assert autotopism_inverse(a).holds_for(n5)
-            for b in auts[:6]:
-                assert autotopism_product(a, b).holds_for(n5)
+        keys = [a.key() for a in autotopism_group(n5)]
+        for a in keys[:6]:
+            assert is_autotopism(n5, *map(_inverse_images, a))
+            for b in keys[:6]:
+                assert is_autotopism(n5, *map(compose_images, a, b))
 
     def test_cap(self, z4):
         with pytest.raises(SearchCapExceeded):
@@ -331,7 +326,7 @@ def test_principal_isotopes_split_by_class_as_aut_predicts():
     for L in _pinned_loops():
         n = L.n
         counts = collections.Counter(
-            canonical_form(principal_isotope(L, f, g).result)[0] for f in range(n) for g in range(n)
+            canonical_form(principal_isotope(L, f, g))[0] for f in range(n) for g in range(n)
         )
         assert sum(counts.values()) == n * n
         aut = len(autotopism_group(L))
@@ -370,12 +365,12 @@ class TestTransport:
                     hset = set(h)
                     for f in h:
                         for g in h:
-                            record = principal_isotope(L, f, g)
+                            M = principal_isotope(L, f, g)
                             if (f, g) not in direct:
-                                direct[f, g] = [a.key() for a in autotopism_group(record.result)]
+                                direct[f, g] = [a.key() for a in autotopism_group(M)]
                                 assert _carried_keys(L, aut, f, g) == direct[f, g]
                                 checked += 1
-                            e2 = record.result.e
+                            e2 = M.e
                             via_aut = _sbs_keys(keys, f, g, hset)
                             assert _sbs_keys(direct[f, g], e2, e2, hset) == via_aut
         assert checked == 144
@@ -384,24 +379,23 @@ class TestTransport:
         aut = autotopism_group(n5)
         carried = carry_autotopisms(n5, [a.key() for a in aut], 1, 2)
         assert [w for _, _, w in carried] == [a.w.images for a in aut]
-        direct = autotopism_group(principal_isotope(n5, 1, 2).result)
+        direct = autotopism_group(principal_isotope(n5, 1, 2))
         assert sorted(carried) == [a.key() for a in direct]
 
     def test_equals_direct_search_for_every_pair(self, n5):
         aut = autotopism_group(n5)
         for f in range(5):
             for g in range(5):
-                record = principal_isotope(n5, f, g)
-                direct = [a.key() for a in autotopism_group(record.result)]
+                direct = [a.key() for a in autotopism_group(principal_isotope(n5, f, g))]
                 assert _carried_keys(n5, aut, f, g) == direct
 
 
 class TestIsomorphisms:
     def test_z4_to_own_isotope(self, z4):
-        record = principal_isotope(z4, 1, 2)
-        found = isomorphisms(z4, record.result)
+        M = principal_isotope(z4, 1, 2)
+        found = isomorphisms(z4, M)
         assert len(found) == 2
-        assert [p.images for p in found] == brute_isomorphisms(z4, record.result)
+        assert [p.images for p in found] == brute_isomorphisms(z4, M)
 
     def test_z4_not_isomorphic_to_klein(self, z4, klein):
         assert isomorphisms(z4, klein) == []
@@ -415,14 +409,14 @@ class TestIsomorphisms:
         # Isotopes have the identity f * g, so most pairs have two identities.
         for entry in generate_loops(5):
             L = entry.loop
-            pairs += [(L, principal_isotope(L, f, g).result) for f in range(5) for g in range(5)]
+            pairs += [(L, principal_isotope(L, f, g)) for f in range(5) for g in range(5)]
         # Order-6 classes that share a power-order multiset pass the
         # pre-test, so only their labellings can tell them apart.
         twins = _order_6_twins()
         assert len(twins) == 79
         pairs += twins
         # Isotopes with identity 2 * 3, which is not 0.
-        isotopes = [(L1, principal_isotope(L2, 2, 3).result) for L1, L2 in twins[:6]]
+        isotopes = [(L1, principal_isotope(L2, 2, 3)) for L1, L2 in twins[:6]]
         isotopes = [(L1, L2) for L1, L2 in isotopes if L2.e != 0]
         assert len(isotopes) == 5
         pairs += isotopes
@@ -461,7 +455,7 @@ def _into(ctx1, ctx2):
 
 class TestSIsomorphisms:
     def test_into_equals_onto_for_equal_sizes(self, n5_ctx):
-        record, ictx = smarandache_principal_isotope(n5_ctx, 1, 1)
+        ictx = smarandache_principal_isotope(n5_ctx, 1, 1)
         assert _into(ictx, n5_ctx) == s_isomorphisms(ictx, n5_ctx)
 
     def test_into_can_exceed_onto(self):

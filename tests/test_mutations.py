@@ -19,7 +19,6 @@ from loopforge import (
     cyclic_loop,
     isotopy,
     ker_phi,
-    klein_four,
     n5_loop,
     omega,
     s_loop_context,
@@ -31,6 +30,7 @@ from loopforge import (
 )
 from loopforge.perm import identity
 
+from conftest import klein_four
 from oracles import relabel
 
 LOOPS = {"n5": n5_loop, "Z4": lambda: cyclic_loop(4), "V4": klein_four}
@@ -40,20 +40,27 @@ def _statuses(name: str, key: str) -> list[str]:
     return [rep.checks[key].status for rep in verify_theorems(LOOPS[name]()).reports]
 
 
-def _patch_split(monkeypatch, change) -> None:
-    """Rewrite each subgroup's split of AUT and of the pairs' isomorphisms
-    by H: sbs._split then returns change(stable, omega, isos)."""
-    real = sbs._split
-    monkeypatch.setattr(sbs, "_split", lambda b, h: change(*real(b, h)))
+def _patch_stable(monkeypatch, change) -> None:
+    """Rewrite each subgroup's split of AUT by H: sbs._stable then returns
+    change(stable, omega)."""
+    real = sbs._stable
+    monkeypatch.setattr(sbs, "_stable", lambda b, hset: change(*real(b, hset)))
+
+
+def _patch_pairs(monkeypatch, change) -> None:
+    """Rewrite each subgroup's pairs and their H-keeping isomorphisms:
+    sbs._pairs then returns change(isos)."""
+    real = sbs._pairs
+    monkeypatch.setattr(sbs, "_pairs", lambda L, cap, memo, h: change(real(L, cap, memo, h)))
 
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_t16_catches_a_hole_in_sbs(name, monkeypatch):
-    def without_largest_w(stable, om, isos):
+    def without_largest_w(stable, om):
         top = max(a.w.images for a in om)
-        return stable, [a for a in om if a.w.images != top], isos
+        return stable, [a for a in om if a.w.images != top]
 
-    _patch_split(monkeypatch, without_largest_w)
+    _patch_stable(monkeypatch, without_largest_w)
     assert set(_statuses(name, "t16")) == {"fail"}
 
 
@@ -122,7 +129,7 @@ def test_aut_law_checks_the_walks_generators(name, monkeypatch):
 def test_isomorphisms_law_checks_each_read_off(monkeypatch):
     # The isotope's identity 1 * 2 = 3 is not Z4's, so the defect lands there.
     L = cyclic_loop(4)
-    M = isotopy.principal_isotope(L, 1, 2).result
+    M = isotopy.principal_isotope(L, 1, 2)
     planted = _plant_a_non_autotopism(monkeypatch)
     with pytest.raises(InvariantViolation, match="search produced a non-isomorphism"):
         isotopy.isomorphisms(L, M)
@@ -130,10 +137,10 @@ def test_isomorphisms_law_checks_each_read_off(monkeypatch):
 
 
 def test_t13_catches_swapped_isotopy_parameters(monkeypatch):
-    # The (g, f) isotope under the fields of (f, g): only t13's law check of
-    # the isotopy from L, keyed by the pair, sees it.
+    # The (g, f) isotope's table for the pair (f, g): only t13's law check
+    # of the isotopy from L, keyed by the pair, sees it.
     real = sbs.principal_isotope
-    monkeypatch.setattr(sbs, "principal_isotope", lambda L, f, g: real(L, g, f)._replace(f=f, g=g))
+    monkeypatch.setattr(sbs, "principal_isotope", lambda L, f, g: real(L, g, f))
     assert _statuses("n5", "t13") == ["fail"]
 
 
@@ -178,11 +185,10 @@ def _relabelled(real):
     # Swaps the isotope's identity f*g with 0.  Both lie in H, so H stays a
     # subgroup of the relabelled table and only H's products show the swap.
     def isotope(L, f, g):
-        record = real(L, f, g)
-        e = record.result.e
+        M = real(L, f, g)
         images = list(range(L.n))
-        images[0], images[e] = e, 0
-        return record._replace(result=validate_table(relabel(record.result, images)))
+        images[0], images[M.e] = M.e, 0
+        return validate_table(relabel(M, images))
 
     return isotope
 
@@ -225,13 +231,13 @@ def test_t14_catches_a_lost_bs_member(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_t15_catches_a_lost_omega_element(name, monkeypatch):
-    _patch_split(monkeypatch, lambda stable, om, isos: (stable, om[:-1], isos))
+    _patch_stable(monkeypatch, lambda stable, om: (stable, om[:-1]))
     assert set(_statuses(name, "t15")) == {"fail"}
 
 
 @pytest.mark.parametrize("name", ["n5", "Z4", "V4"])
 def test_omega_raises_where_t15_fails(name, monkeypatch):
-    _patch_split(monkeypatch, lambda stable, om, isos: (stable, om[:-1], isos))
+    _patch_stable(monkeypatch, lambda stable, om: (stable, om[:-1]))
     L = LOOPS[name]()
     for h in s_subgroups(L):
         with pytest.raises(InvariantViolation, match="omega is not a group"):
@@ -243,7 +249,7 @@ def test_omega_raises_where_t15_fails(name, monkeypatch):
 def test_kernel_checks_catch_the_full_nucleus(key, name, monkeypatch):
     # Without the witness filter, omega's kernel is all of ker pi_3, which
     # is the full middle nucleus; only loops whose nucleus leaves H notice.
-    _patch_split(monkeypatch, lambda stable, om, isos: (stable, stable, isos))
+    _patch_stable(monkeypatch, lambda stable, om: (stable, stable))
     assert set(_statuses(name, key)) == {"fail"}
 
 
@@ -252,7 +258,7 @@ def test_ker_phi_raises_where_t17_fails(name, monkeypatch):
     # Every extra kernel element of the full nucleus also has g * f = e and
     # g in N_mu, so only t17's comparison with the pairs from N_mu and H
     # can reject it.
-    _patch_split(monkeypatch, lambda stable, om, isos: (stable, stable, isos))
+    _patch_stable(monkeypatch, lambda stable, om: (stable, stable))
     L = LOOPS[name]()
     for h in s_subgroups(L):
         with pytest.raises(InvariantViolation, match="kernel"):
@@ -268,12 +274,12 @@ def test_theta_checks_catch_a_lost_pair(key, name, monkeypatch):
     # n5's theta is only (e, e), so dropping it leaves "theta covers HxH"
     # false, as it was; t20 and c21 see the loss only where theta was full.
     # The last theta pair loses its H-keeping isomorphisms.
-    def without_last_pair(stable, om, isos):
+    def without_last_pair(isos):
         last = max(i for i, (_, _, kept) in enumerate(isos) if kept)
         pair, p, _ = isos[last]
-        return stable, om, isos[:last] + [(pair, p, [])] + isos[last + 1:]
+        return isos[:last] + [(pair, p, [])] + isos[last + 1:]
 
-    _patch_split(monkeypatch, without_last_pair)
+    _patch_pairs(monkeypatch, without_last_pair)
     assert set(_statuses(name, key)) == {"fail"}
 
 
@@ -301,9 +307,8 @@ def test_t10_witnesses_the_sbs_generators_on_the_loop(name, monkeypatch):
     bogus = Autotopism(identity(L.n), identity(L.n), w)
     real_aut = sbs.autotopism_group
     monkeypatch.setattr(sbs, "autotopism_group", lambda L, cap: real_aut(L, cap=cap) + [bogus])
-    _patch_split(
-        monkeypatch,
-        lambda stable, om, isos: (stable, [a for a in om if a != bogus] + [bogus], isos),
+    _patch_stable(
+        monkeypatch, lambda stable, om: (stable, [a for a in om if a != bogus] + [bogus])
     )
     assert set(_statuses(name, "t10")) == {"fail"}
 

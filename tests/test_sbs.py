@@ -39,6 +39,7 @@ from oracles import (
     brute_special_witnesses,
     brute_ssym,
     group_axiom_violation,
+    is_autotopism,
     relabel,
 )
 
@@ -170,8 +171,8 @@ class TestSAGroup:
         # SA filters AUM, so sa_group needs neither the autotopism search
         # nor the isotope isomorphisms that the verify route reads.
         L = request.getfixturevalue(name)
-        b = sbs._base(L, 12)
-        expected = {h.elements: sbs._derive(b, h).sa for h in s_subgroups(L)}
+        b, aum = sbs._base(L, 12), sbs.automorphism_group(L, cap=12)
+        expected = {h.elements: sbs._derive(b, aum, h).sa for h in s_subgroups(L)}
 
         def refuse(*args, **kwargs):
             raise RuntimeError("sa_group must read AUM only")
@@ -180,6 +181,46 @@ class TestSAGroup:
         monkeypatch.setattr(sbs, "isomorphisms", refuse)
         for h, sa in expected.items():
             assert sa_group(s_loop_context(L, h), cap=12) == sa
+
+
+@pytest.fixture(scope="module")
+def verify_at_12():
+    """verify_theorems(L, cap=12), run once per table in this module."""
+    done = {}
+
+    def verify(L):
+        if L.table not in done:
+            done[L.table] = verify_theorems(L, cap=12)
+        return done[L.table]
+
+    return verify
+
+
+class TestProjectionsRunOnlyTheirSearch:
+    @pytest.mark.parametrize("name", ["z2_cubed", "m_s3"])
+    def test_sizes_match_the_reports(self, name, request, verify_at_12, monkeypatch):
+        # theta_set reads the isotope isomorphisms alone; omega, ker_phi and
+        # sbs_group read AUT alone, with no isotope or isomorphism search.
+        L = request.getfixturevalue(name)
+        reports = verify_at_12(L).reports
+        aut = autotopism_group(L, cap=12)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a search this projection does not read")
+
+        with monkeypatch.context() as m:
+            m.setattr(sbs, "autotopism_group", refuse)
+            for rep in reports:
+                assert len(theta_set(s_loop_context(L, rep.subgroup), cap=12)) == rep.theta
+        # AUT is searched once above and handed back to each call.
+        monkeypatch.setattr(sbs, "autotopism_group", lambda M, cap: aut if M is L else refuse())
+        for search in ("isomorphisms", "automorphism_group", "principal_isotope"):
+            monkeypatch.setattr(sbs, search, refuse)
+        for rep in reports:
+            ctx = s_loop_context(L, rep.subgroup)
+            assert len(omega(ctx, cap=12)) == rep.omega
+            assert len(ker_phi(ctx, cap=12)) == rep.ker_phi
+            assert len(sbs_group(ctx, cap=12)) == rep.sbs
 
 
 class TestOmega:
@@ -193,7 +234,7 @@ class TestOmega:
         hset = set(z4_ctx.h.elements)
         ssym_set = {p.images for p in ssym(z4_ctx)}
         for a in omega(z4_ctx):
-            assert a.holds_for(z4_ctx.loop)
+            assert is_autotopism(z4_ctx.loop, *a.key())
             assert a.u.images[0] in hset and a.v.images[0] in hset
             assert a.w.images in ssym_set
 
@@ -363,7 +404,7 @@ class TestDerivedFromAutotopisms:
                 (f, g)
                 for f in h
                 for g in h
-                if any(keeps(a) for a in brute_isomorphisms(principal_isotope(L, f, g).result, L))
+                if any(keeps(a) for a in brute_isomorphisms(principal_isotope(L, f, g), L))
             ]
             assert theta_set(ctx) == theta and rep.theta == len(theta)
 
@@ -465,18 +506,18 @@ class TestVerifyTheorems:
                "aggregate": ver.aggregate.to_json_dict()}
         return hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
 
-    def test_frozen_reports_for_chein_s3(self, m_s3):
-        ver = verify_theorems(m_s3, cap=12)
+    def test_frozen_reports_for_chein_s3(self, m_s3, verify_at_12):
+        ver = verify_at_12(m_s3)
         assert len(ver.reports) == 22 and ver.all_pass()
         assert {(r.aut, r.aum, r.bs, r.n_mu) for r in ver.reports} == {(15552, 108, 15552, 1)}
         assert self._digest(ver) == (
             "260650fd29910ea28bbd08b646afa667d62fbc96a890f59588f202419c1ccc13"
         )
 
-    def test_frozen_reports_for_z2_cubed(self, z2_cubed):
+    def test_frozen_reports_for_z2_cubed(self, z2_cubed, verify_at_12):
         # 14 subgroups share the 64 pairs of (Z2)^3, so t8, t12 and t13 read
         # each pair's record from many subgroups.
-        ver = verify_theorems(z2_cubed)
+        ver = verify_at_12(z2_cubed)
         assert len(ver.reports) == 14 and ver.all_pass()
         assert self._digest(ver) == (
             "962b0d77e9d009e7849ad6d5f10e5a06b347469a5924ebe3a69102492f80f304"
