@@ -15,7 +15,7 @@ import os
 import threading
 from collections import namedtuple
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .errors import InvariantViolation, OrderTooLarge, ParseError
 from .loop_core import (
@@ -82,26 +82,90 @@ def available_cpus() -> int:
 def fan_out(fn, tasks: list, workers: int) -> Iterator:
     """fn over tasks, yielded in task order, on up to workers processes.
 
-    The pool starts all its workers up front, so it gets no more than there
-    are tasks or CPUs this process may run on.  With fewer than two, or
-    while another thread runs, fn runs in this process: pool workers are
-    forked where that is the default start method, and forking a process
-    that runs other threads can deadlock.  Each worker takes about four
-    chunks of tasks, not one round trip per task.  Closing the iterator
-    cancels the chunks not yet started and waits for the running ones, so
-    no worker outlives it.
+    The workers are forked up front, no more than there are tasks or CPUs
+    this process may run on.  With fewer than two, while another thread
+    runs (forking a process that runs other threads can deadlock the
+    child), or with no os.fork, as on Windows, fn runs in this process.
+    Worker k runs tasks k, k + workers, ... of the list it inherited, so
+    neither fn nor a task is pickled, and sends back through its own pipe
+    one pickled record per task: the result, or the exception fn raised,
+    which is raised here at its task.  A worker that dies raises
+    ChildProcessError naming its exit status.  Closing the iterator kills
+    the workers still running and reaps every one.  Forking starts no
+    thread and no fresh interpreter.
     """
     workers = min(workers, len(tasks), available_cpus())
-    if workers < 2 or threading.active_count() > 1:
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         yield from map(fn, tasks)
-        return
-    import concurrent.futures
+    else:
+        yield from _forked(fn, tasks, workers)
 
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+
+def _forked(fn, tasks: list, workers: int) -> Iterator:
+    """fan_out over workers forked processes."""
+    import pickle
+    import signal
+
+    pids, ends = [], []  # ends: the read end of each worker's pipe
     try:
-        yield from pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        for k in range(workers):
+            r, w = os.pipe()
+            ends.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, tasks[k::workers], ends, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        readers = [open(fd, "rb", closefd=False) for fd in ends]
+        for i in range(len(tasks)):
+            k = i % workers
+            try:
+                ok, value = pickle.load(readers[k])
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+                raise ChildProcessError(
+                    f"fan_out worker {k} ended before task {i}, exit status {status}"
+                ) from None
+            if not ok:
+                raise value
+            yield value
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in ends:
+            os.close(fd)
+
+
+def _work(fn, tasks: list, inherited: list, w: int) -> NoReturn:
+    """A forked worker: a pickled (True, result) record per task to the
+    pipe w, or a last (False, exception) record.
+
+    It closes the pipe read ends it inherited, so that no worker holds
+    another's pipe open, and leaves through os._exit on every path, so it
+    never returns into the caller's code or runs its exit handlers.
+    """
+    import pickle
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(w, "wb") as out:
+            for task in tasks:
+                try:
+                    record = pickle.dumps((True, fn(task)))
+                except Exception as exc:
+                    out.write(pickle.dumps((False, exc)))
+                    break
+                out.write(record)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @functools.cache
@@ -190,9 +254,8 @@ def _subtree(task: tuple) -> list[tuple]:
 
     Each square is a LoopTable built directly, without validate_table:
     _reduced_squares proves that it yields reduced Latin squares, so the
-    identity is 0.  Top level, so a process pool can run it.  The tables
-    share the row tuples of _row_codes(n), and pickle sends each distinct
-    row of a subtree once.
+    identity is 0.  The tables share the row tuples of _row_codes(n), and
+    pickle sends each distinct row of a subtree once.
     """
     n, row1, nonassociative, require_s_subgroup = task
     records = []
@@ -236,7 +299,7 @@ def generate_loops(
     are generated independently and yielded in order, so the stream is the
     same however they are run.  The unbounded order-6 run hands them to
     fan_out with a worker per CPU; smaller orders take less time than
-    starting a pool, and a bounded run may need only the first few
+    forking workers, and a bounded run may need only the first few
     subtrees, so those run in this process.
     """
     if n < 2 or n > 6:

@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class LoopforgeError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        """Pickled as its args and attributes, rebuilt without calling
+        __init__, whose parameters differ by subclass; so an error keeps
+        its type, message and attributes across a worker's pipe."""
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NotSquare(LoopforgeError):

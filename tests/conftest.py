@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import os
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import loopforge
-from loopforge import cyclic_loop, n5_loop, s_loop_context, validate_table
+from loopforge import catalog, cyclic_loop, n5_loop, s_loop_context, validate_table
 
 
 def klein_four():
@@ -91,19 +90,22 @@ def package_env():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Stands in for the process pool, so fan_out's tasks run in this
-    process; the list returned gets each pool's max_workers."""
+    """Stands in for fan_out's forking branch, so its tasks run in this
+    process; the list returned gets each forking call's worker count."""
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(fn, tasks, workers):
+        sizes.append(workers)
+        return map(fn, tasks)
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(catalog, "_forked", recording)
     return sizes
+
+
+def has_children() -> bool:
+    """Whether this process has a child not yet reaped; reaps none."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
 import itertools
-import multiprocessing
+import os
+import pickle
 import random
+import signal
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 
@@ -18,18 +22,34 @@ from loopforge import (
     format_table,
     generate_loops,
     iter_catalog,
-    n5_loop,
     read_table,
     s_subgroups,
     validate_table,
     write_catalog,
     write_table,
 )
-from loopforge import catalog
+from loopforge import catalog, errors
 from loopforge.catalog import INDEX_NAME
 from loopforge.isotopy import law_holds
 
+from conftest import has_children
 from oracles import count_reduced_squares_colmajor, fnv64, relabel
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raises TimeoutError in this process if the block runs past seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestContentId:
@@ -221,7 +241,7 @@ class TestGeneration:
         monkeypatch.setattr(catalog, "available_cpus", lambda: cpus)
         stream = generate_loops(6, allow_order_six=True)
         pooled = [key(next(stream))]
-        assert multiprocessing.active_children() != []
+        assert has_children()
         pooled += map(key, stream)
         monkeypatch.setattr(catalog, "available_cpus", lambda: 1)
         assert [key(e) for e in generate_loops(6, allow_order_six=True)] == pooled
@@ -229,10 +249,12 @@ class TestGeneration:
     def test_closing_an_order_6_stream_leaves_no_worker(self, monkeypatch):
         monkeypatch.setattr(catalog, "available_cpus", lambda: 2)
         stream = generate_loops(6, allow_order_six=True)
-        next(stream)
-        assert multiprocessing.active_children() != []
-        stream.close()
-        assert multiprocessing.active_children() == []
+        with deadline(10):
+            next(stream)
+            assert has_children()
+            stream.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_only_the_unbounded_order_6_run_builds_a_pool(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(catalog, "available_cpus", lambda: 64)
@@ -253,14 +275,42 @@ class TestGeneration:
         assert sum(1 for _ in generate_loops(6, allow_order_six=True)) == 9408
         assert pool_sizes == [53]
 
-    def test_import_starts_no_process_machinery(self):
+    def test_import_starts_no_process_machinery(self, package_env):
+        # fan_out imports pickle only when it forks.
         code = (
-            "import sys, loopforge, loopforge.cli; "
+            "import sys, threading, loopforge, loopforge.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'pickle')), "
+            "threading.active_count())"
         )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=package_env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[] 1"
+
+    def test_forking_leaves_no_process_machinery(self, tmp_path, package_env):
+        # After a two-worker order-6 stream and a two-worker verify DIR:
+        # no executor or multiprocessing module, and no thread but this one.
+        write_catalog(generate_loops(4), tmp_path / "cat4")
+        code = (
+            "import contextlib, io, sys, threading\n"
+            "from loopforge import catalog, generate_loops\n"
+            "from loopforge.cli import main\n"
+            "catalog.available_cpus = lambda: 2\n"
+            "def machinery():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in ('concurrent', 'multiprocessing')),"
+            " threading.active_count(), 'pickle' in sys.modules\n"
+            "points = [sum(1 for _ in generate_loops(6, allow_order_six=True)), machinery()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    points += [main(['verify', sys.argv[1], '--jobs', '2']), machinery()]\n"
+            "print(points)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "cat4")],
+            env=package_env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[9408, ([], 1, True), 0, ([], 1, True)]"
 
     def test_import_loads_neither_dataclasses_nor_inspect(self, package_env):
         # A bare interpreter loads neither; dataclasses imports inspect,
@@ -279,6 +329,100 @@ class TestGeneration:
             CatalogEntry(loop_3x3_shifted, True, 0, "0" * 16)
         with pytest.raises(AssertionError):
             CatalogEntry(z4, True, 0, "0" * 16)._replace(loop=loop_3x3_shifted)
+
+
+class TestFanOut:
+    """fan_out's forked workers; every wait is under a deadline."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(catalog, "available_cpus", lambda: 2)
+
+    def test_workers_run_what_they_inherit(self):
+        # A closure cannot be pickled, and need not be.
+        offset = 10
+        parent = os.getpid()
+        with deadline(10):
+            out = list(catalog.fan_out(lambda t: (t + offset, os.getpid()), list(range(7)), 3))
+        assert [v for v, _ in out] == list(range(10, 17))
+        pids = [pid for _, pid in out]
+        assert parent not in pids and len(set(pids)) == 2
+        assert pids[0::2] == [pids[0]] * 4 and pids[1::2] == [pids[1]] * 3
+        assert not has_children()
+
+    @pytest.mark.parametrize(
+        "error",
+        [errors.InvariantViolation("planted at task 3"), errors.SearchCapExceeded(12, 10)],
+        ids=["InvariantViolation", "SearchCapExceeded"],
+    )
+    def test_a_worker_exception_is_raised_at_its_task(self, error):
+        parent = os.getpid()
+
+        def fn(task):
+            if task == 3:
+                raise error
+            return os.getpid()
+
+        stream = catalog.fan_out(fn, list(range(6)), 2)
+        with deadline(10):
+            pids = [next(stream) for _ in range(3)]
+            with pytest.raises(type(error)) as caught:
+                next(stream)
+        assert parent not in pids
+        assert (str(caught.value), vars(caught.value)) == (str(error), vars(error))
+        assert not has_children()
+
+    @pytest.mark.parametrize(
+        "death, status",
+        [(lambda: os._exit(7), 7), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit", "kill"],
+    )
+    def test_a_worker_that_dies_ends_the_stream(self, death, status):
+        parent = os.getpid()
+
+        def fn(task):
+            if task == 3 and os.getpid() != parent:
+                death()
+            return task
+
+        stream = catalog.fan_out(fn, list(range(6)), 2)
+        with deadline(10):
+            assert [next(stream) for _ in range(3)] == [0, 1, 2]
+            with pytest.raises(ChildProcessError) as caught:
+                next(stream)
+        assert str(caught.value) == f"fan_out worker 1 ended before task 3, exit status {status}"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_back_to_back_calls_warn_of_no_threaded_fork(self):
+        # Python 3.12 and later warn when a process that runs other threads
+        # forks; an executor's leftover threads made later forks warn.
+        parent = os.getpid()
+        with warnings.catch_warnings(record=True) as caught, deadline(120):
+            warnings.simplefilter("always")
+            for _ in range(150):
+                pids = list(catalog.fan_out(lambda t: os.getpid(), [0, 1], 2))
+                assert parent not in pids
+        assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
+        assert not has_children()
+
+    def test_every_error_round_trips_through_pickle(self):
+        # So that a worker's error reaches fan_out's caller as it was raised.
+        classes = [
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.LoopforgeError)
+        ]
+        assert len(classes) == 11
+        made = {
+            errors.ParseError: errors.ParseError("bad token", 3, 2),
+            errors.SearchCapExceeded: errors.SearchCapExceeded(12, 10),
+        }
+        relocated = errors.ParseError("bad token", 3)
+        relocated.args = (f"t.loop: {relocated}",)  # as read_table does
+        for error in [made.get(c) or c(f"a {c.__name__}") for c in classes] + [relocated]:
+            back = pickle.loads(pickle.dumps(error))
+            assert type(back) is type(error)
+            assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))
 
 
 class TestStorage:

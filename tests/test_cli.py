@@ -14,7 +14,6 @@ from loopforge import (
     canonical_form,
     content_id,
     cyclic_loop,
-    format_table,
     generate_loops,
     iter_catalog,
     n5_loop,
