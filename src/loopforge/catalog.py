@@ -21,10 +21,10 @@ from .errors import InvariantViolation, OrderTooLarge, ParseError
 from .loop_core import (
     LoopTable,
     _labellings,
+    _s_subgroup_elements,
     format_row,
     format_table,
     parse_table,
-    s_subgroups,
     validate_table,
 )
 from .perm import Perm
@@ -55,7 +55,7 @@ class CatalogEntry(namedtuple("CatalogEntry", "loop associative s_subgroup_count
     def __new__(cls, loop: LoopTable, associative: bool, s_subgroup_count: int, entry_id: str):
         if loop.e != 0:
             raise InvariantViolation("catalog entries must be normalized")
-        return super().__new__(cls, loop, associative, s_subgroup_count, entry_id)
+        return tuple.__new__(cls, (loop, associative, s_subgroup_count, entry_id))
 
     @classmethod
     def _make(cls, fields):
@@ -204,8 +204,9 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
     One recursion fills rows 0..n-2 in turn, each from its options in
     lexicographic order, less those that clash with a row above it: row 0
     has the identity row as its one option, row 1 has row1, and each row
-    r >= 2 the rows that start with r and clash with neither.  Row n-1 is
-    then filled by elimination.  The rows above the last make an
+    r >= 2 the rows that start with r and clash with neither.  Each choice
+    of row n-2 fills row n-1 by elimination, in the same loop, so no
+    generator starts per square.  The rows above the last make an
     (n-1) x n Latin rectangle.  Each symbol sits once in each of the n-1
     rows, in n-1 distinct columns, so it is missing from exactly one
     column.  Row n-1 must hold in each column the one symbol that column
@@ -234,15 +235,14 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
     last = n - 1
 
     def fill(r: int, used: int, h: int) -> Iterator[tuple[list, int]]:
-        if r == last:
-            _, row, text = by_code[full ^ used]
-            square[last] = row
-            yield list(square), _fnv_fold(h, text)
-            return
         for code, row, text in options[r]:
             if not code & used:
                 square[r] = row
-                yield from fill(r + 1, used | code, _fnv_fold(h, text))
+                if r < last - 1:
+                    yield from fill(r + 1, used | code, _fnv_fold(h, text))
+                else:
+                    _, square[last], tail = by_code[full ^ used ^ code]
+                    yield list(square), _fnv_fold(h, text + tail)
 
     yield from fill(0, 0, _fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")))
 
@@ -263,7 +263,7 @@ def _subtree(task: tuple) -> list[tuple]:
         L = LoopTable(tuple(raw), 0)
         if nonassociative and L.associative:
             continue
-        count = len(s_subgroups(L))
+        count = len(_s_subgroup_elements(L))
         if require_s_subgroup and count == 0:
             continue
         records.append((L.table, L.associative, count, state))
@@ -293,7 +293,7 @@ def generate_loops(
 
     The unbounded order-6 run produces 9408 entries, so it must be opted
     into explicitly.  Order and limit checks happen at call time, before
-    the stream is touched.
+    the stream is touched: each must be an int, and not a bool.
 
     The search splits at row 1 into the subtrees of _second_rows(n), which
     are generated independently and yielded in order, so the stream is the
@@ -302,6 +302,9 @@ def generate_loops(
     forking workers, and a bounded run may need only the first few
     subtrees, so those run in this process.
     """
+    for name, value in (("order", n), ("limit", limit)):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 2 or n > 6:
         raise OrderTooLarge(f"exhaustive generation covers orders 2..6, got {n}")
     if n == 6 and limit is None and not allow_order_six:

@@ -131,10 +131,14 @@ def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
         return f"non-integer elements: {bad}"
     if s[0] < 0 or s[-1] >= L.n:
         return f"elements outside 0..{L.n - 1}: {s}"
-    e = L.e
-    if e not in sset:
-        return f"identity {e} missing"
-    t = L.table
+    if L.e not in sset:
+        return f"identity {L.e} missing"
+    return _group_violation(L, sset, s)
+
+
+def _group_violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
+    """_violation for a subset of L's elements that holds its identity."""
+    t, e = L.table, L.e
     for a in s:
         ra = t[a]
         for b in s:
@@ -167,14 +171,22 @@ class SubgroupSet:
 
     __slots__ = ("elements", "parent")
 
-    def __init__(self, elements: Iterable[int], parent: LoopTable):
+    def __new__(cls, elements: Iterable[int], parent: LoopTable):
         sset = set(elements)
         s = tuple(sorted(sset))
         violation = _violation(parent, sset, s)
         if violation is not None:
             raise NotSLoop(f"not a subgroup: {violation}")
-        object.__setattr__(self, "elements", s)
-        object.__setattr__(self, "parent", parent)
+        return cls._certified(s, parent)
+
+    @classmethod
+    def _certified(cls, elements: tuple, parent: LoopTable) -> "SubgroupSet":
+        """A SubgroupSet on sorted elements that _group_violation has passed,
+        built without checking them again (see _s_subgroup_elements)."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "elements", elements)
+        object.__setattr__(h, "parent", parent)
+        return h
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -235,35 +247,32 @@ def _orders_of(L: LoopTable) -> tuple:
     return L._orders
 
 
-def _closure(L: LoopTable, closed: frozenset, x: int) -> frozenset | None:
-    """Smallest closed superset of closed | {x}, for a closed set closed,
-    or None as soon as the set has more than n/2 elements.
+def _close(t: tuple, n: int, elems: set, x: int) -> bool:
+    """Grow the closed set elems in place to the smallest closed superset of
+    elems | {x}; False, leaving elems part grown, as soon as it has more
+    than n/2 elements.
 
-    Products of two old elements already lie in closed, so each round
+    Products of two old elements already lie in elems, so each round
     multiplies only by the elements the round before added.  A closed
     subset S of a finite loop is a subloop: for a in S, y -> a*y maps S
     into, so onto, itself.  A proper subloop H of a loop K has |H| <= |K|/2:
     for z in K outside H the products h*z, h in H, are distinct, and none
     lies in H, since h*z in H would put z = h\\(h*z) in H.
     """
-    t = L.table
-    n = L.n
-    elems = set(closed)
     elems.add(x)
     frontier = [x]
     while frontier:
         if 2 * len(elems) > n:
-            return None
-        fresh = []
-        for a in list(elems):
-            row = t[a]
-            for b in frontier:
-                for c in (row[b], t[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return frozenset(elems)
+            return False
+        fresh = set()
+        for b in frontier:
+            rb = t[b]
+            for a in elems:
+                fresh.add(t[a][b])
+                fresh.add(rb[a])
+        frontier = fresh - elems
+        elems |= frontier
+    return True
 
 
 def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
@@ -281,7 +290,7 @@ def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
     the whole loop, each element outside it in turn is appended and the
     sequence closed again.  Each complete sequence s gives phi[s_k] = k,
     and phi(L) is built row by row up to the first row above M's so far.
-    Each generator at least doubles the subloop (see _closure), so there
+    Each generator at least doubles the subloop (see _close), so there
     are at most floor(log2 n) generators and (n-1)*n^(floor(log2 n)-1)
     sequences.  An isomorphism psi keeps power orders and products, so it
     carries the sequences of L onto those of psi(L) label for label.
@@ -344,7 +353,12 @@ def subgroups(L: LoopTable) -> list[SubgroupSet]:
 
 
 def s_subgroups(L: LoopTable) -> list[SubgroupSet]:
-    """Proper non-trivial subgroups, 2 <= size < n, in subgroups' order.
+    """Proper non-trivial subgroups, 2 <= size < n, in subgroups' order."""
+    return [SubgroupSet._certified(s, L) for s in _s_subgroup_elements(L)]
+
+
+def _s_subgroup_elements(L: LoopTable) -> list[tuple]:
+    """The sorted elements of each s_subgroups(L) member, in its order.
 
     Only proper subgroups are grown, one generator at a time, and none is
     missed.  A closed subset of a finite group is a subgroup, so each H is
@@ -352,38 +366,27 @@ def s_subgroups(L: LoopTable) -> list[SubgroupSet]:
     ... < H, while a closed set that is not a group lies in no subgroup and
     is never extended.  So an x with x*(x*x) != (x*x)*x, or whose closure
     with e is not a proper subgroup, is never a generator.  Every closed set
-    _closure returns is proper and is certified or rejected by building its
-    SubgroupSet, once.  An S with 4|S| > n is not extended: any closed K > S
-    has S as a proper subloop, so |K| >= 2|S| > n/2 and K = L (see _closure).
+    _close completes is proper, and _group_violation certifies or rejects
+    it once.  An S with 4|S| > n is not extended: any closed K > S has S as
+    a proper subloop, so |K| >= 2|S| > n/2 and K = L (see _close).
     """
-    t, n, e = L.table, L.n, L.e
-    groups = {}  # proper closed set -> its SubgroupSet, or None when not a group
-
-    def certify(closed: frozenset | None) -> SubgroupSet | None:
-        if closed is not None and closed not in groups:
-            try:
-                groups[closed] = SubgroupSet(tuple(closed), L)
-            except NotSLoop:
-                groups[closed] = None
-        return groups.get(closed)
-
-    trivial = frozenset((e,))
-    generators = []
-    for x in range(n):
-        xx = t[x][x]
-        if x != e and t[x][xx] == t[xx][x] and certify(_closure(L, trivial, x)) is not None:
-            generators.append(x)
-    queue = [s for s, h in groups.items() if h is not None]
+    t, n = L.table, L.n
+    groups = {}  # sorted proper closed set -> whether it is a group
+    generators = []  # each x whose closure with e is a group
+    queue = [({L.e}, range(n))]  # a subgroup to extend, and the x to try
     while queue:
-        s = queue.pop()
-        for x in generators:
-            if x not in s and 4 * len(s) <= n:
-                grown = _closure(L, s, x)
-                if grown not in groups and certify(grown) is not None:
-                    queue.append(grown)
-    found = [h for h in groups.values() if h is not None]
-    found.sort(key=lambda h: (len(h.elements), h.elements))
-    return found
+        s, xs = queue.pop()
+        for x in xs:
+            xx = t[x][x]
+            if x not in s and t[x][xx] == t[xx][x] and _close(t, n, closed := set(s), x):
+                key = tuple(sorted(closed))
+                if key not in groups:
+                    groups[key] = _group_violation(L, closed, key) is None
+                    if groups[key] and 4 * len(key) <= n:
+                        queue.append((closed, generators))
+                if groups[key] and len(s) == 1:  # s = {e}, done before any other s
+                    generators.append(x)
+    return sorted((s for s, group in groups.items() if group), key=lambda s: (len(s), s))
 
 
 def middle_nucleus(L: LoopTable) -> SubgroupSet:

@@ -44,6 +44,12 @@ def z2_cubed():
 
 
 @pytest.fixture
+def z2_z4():
+    """Z2 x Z4 on 0..7, as (a, b) -> 4a + b."""
+    return validate_table([[(x ^ y) & 4 | (x + y) & 3 for y in range(8)] for x in range(8)])
+
+
+@pytest.fixture
 def m_s3():
     """Chein's Moufang loop M(S3, 2) of order 12: G u Gu with
     g(hu) = (hg)u, (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g."""

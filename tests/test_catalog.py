@@ -204,6 +204,15 @@ class TestGeneration:
         # ... but a bounded one does not
         assert sum(1 for _ in generate_loops(6, limit=3)) == 3
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n": 4, "limit": 2.5}, "limit"), ({"n": 4.0}, "order"),
+         ({"n": 4, "limit": True}, "limit"), ({"n": True}, "order")],
+    )
+    def test_order_and_limit_are_ints_checked_at_call_time(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            generate_loops(**kwargs)
+
     def test_second_rows_are_the_row_ones_of_the_stream(self):
         for n, count in zip(range(2, 7), (1, 1, 3, 11, 53)):
             rows = catalog._second_rows(n)

@@ -199,6 +199,20 @@ class TestSubgroups:
         assert identities == {e: 280 for e in range(5)}
         assert nonassociative == 1250
 
+    def test_grown_subgroups_follow_e_on_principal_isotopes(self, z2_cubed, z2_z4):
+        # From order 8 on, subgroups of order 2 are joined into larger ones,
+        # which no loop of order 6 or less needs; the identity f*g of most of
+        # these isotopes is not 0.
+        identities = Counter()
+        for L in (z2_cubed, z2_z4):
+            for f in range(8):
+                for g in range(8):
+                    M = principal_isotope(L, f, g)
+                    assert [h.elements for h in subgroups(M)] == brute_subgroups(M), (L.table, f, g)
+                    assert len(loop_core._s_subgroup_elements(M)) == len(s_subgroups(M))
+                    identities[M.e] += 1
+        assert identities == {e: 16 for e in range(8)}
+
     def test_violation_is_none_exactly_on_the_oracles_subgroups(self):
         # No inverse check: a closed, associative subset holding e is a group.
         for n in range(2, 6):
@@ -213,18 +227,17 @@ class TestSubgroups:
         # U x {0} is a closed proper subloop of order 5 that is not associative.
         L = _u_times_z2()
         rejected = []
-        real = loop_core.SubgroupSet
+        real = loop_core._group_violation
 
-        def certify(elements, parent):
-            try:
-                return real(elements, parent)
-            except NotSLoop as exc:
-                rejected.append((tuple(sorted(elements)), str(exc)))
-                raise
+        def certify(parent, sset, s):
+            violation = real(parent, sset, s)
+            if violation is not None:
+                rejected.append((tuple(s), violation))
+            return violation
 
-        monkeypatch.setattr(loop_core, "SubgroupSet", certify)
+        monkeypatch.setattr(loop_core, "_group_violation", certify)
         found = [h.elements for h in subgroups(L)]
-        assert ((0, 2, 4, 6, 8), "not a subgroup: not associative at (2, 2, 4)") in rejected
+        assert ((0, 2, 4, 6, 8), "not associative at (2, 2, 4)") in rejected
         assert found == brute_subgroups(L)
 
     def test_s_subgroups_certifies_only_proper_nontrivial_sets(self, z2_cubed, n5, monkeypatch):
@@ -236,19 +249,20 @@ class TestSubgroups:
         switched = validate_table(rows)
         assert not switched.associative
         built = []
-        real = loop_core.SubgroupSet
+        real = loop_core._group_violation
 
-        def certify(elements, parent):
-            elements = tuple(elements)
-            built.append(tuple(sorted(elements)))
-            return real(elements, parent)
+        def certify(parent, sset, s):
+            assert sset == set(s) and list(s) == sorted(s)
+            built.append(tuple(s))
+            return real(parent, sset, s)
 
-        monkeypatch.setattr(loop_core, "SubgroupSet", certify)
+        monkeypatch.setattr(loop_core, "_group_violation", certify)
         for L in (cyclic_loop(6), z2_cubed, n5, switched):
             built.clear()
             found = [h.elements for h in s_subgroups(L)]
             assert found == [s for s in brute_subgroups(L) if 1 < len(s) < L.n]
             assert [s for s in built if len(s) in (1, L.n)] == []
+            assert len(built) == len(set(built))
             assert set(found) <= set(built)
         assert [h.elements for h in subgroups(validate_table([[0]]))] == [(0,)]
         assert [h.elements for h in subgroups(cyclic_loop(2))] == [(0,), (0, 1)]
