@@ -170,9 +170,9 @@ def _work(fn, tasks: list, inherited: list, w: int) -> NoReturn:
 
 @functools.cache
 def _row_codes(n: int) -> tuple[list, dict]:
-    """Every permutation of 0..n-1 as a (code, row, format_row bytes)
-    triple, in lexicographic order by row, and the same triples keyed by
-    code.
+    """Every permutation of 0..n-1 as a (code, row, format_row bytes,
+    _uniform(row)) tuple, in lexicographic order by row, and the same
+    tuples keyed by code.
 
     A row's code sets bit n*j + row[j] for each column j.  Two rows clash
     in some column exactly when their codes share a bit, and OR-ing the
@@ -181,8 +181,24 @@ def _row_codes(n: int) -> tuple[list, dict]:
     rows = []
     for row in itertools.permutations(range(n)):
         code = sum(1 << (n * j + v) for j, v in enumerate(row))
-        rows.append((code, row, format_row(row).encode("ascii")))
+        rows.append((code, row, format_row(row).encode("ascii"), _uniform(row)))
     return rows, {t[0]: t for t in rows}
+
+
+def _uniform(row: tuple) -> bool:
+    """Whether every cycle of the permutation row has the same length.
+
+    Each row x of a group's table passes: the cycles of y -> x*y are the
+    cosets <x>y, each of size ord(x).  So a square with a failing row is
+    not associative.
+    """
+    lengths = set()
+    for x in row:
+        y, k = row[x], 1
+        while y != x:
+            y, k = row[y], k + 1
+        lengths.add(k)
+    return len(lengths) == 1
 
 
 def _second_rows(n: int) -> list[tuple]:
@@ -195,10 +211,10 @@ def _second_rows(n: int) -> list[tuple]:
     """
     rows = _row_codes(n)[0]
     identity = rows[0][0]
-    return [row for code, row, _ in rows if row[0] == 1 and not code & identity]
+    return [row for code, row, *_ in rows if row[0] == 1 and not code & identity]
 
 
-def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
+def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[tuple, int, bool]]:
     """The reduced squares with row 1 equal to row1, in lexicographic order.
 
     One recursion fills rows 0..n-2 in turn, each from its options in
@@ -214,8 +230,10 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
     exactly one square and the last row needs no search: its code is the
     complement of the rectangle's.
 
-    Yields (rows, state) with state the FNV-1a state of the table's
-    canonical text form (format_table), so content_id is f"{state:016x}".
+    Yields (rows, state, uniform): rows is the square as a tuple of row
+    tuples, state the FNV-1a state of its canonical text form
+    (format_table), so content_id is f"{state:016x}", and uniform whether
+    every row passes _uniform, carried down the recursion like state.
     FNV-1a folds the text one byte at a time, so the state after a row
     extends the state after the row before: each chosen row is hashed
     once, and every square sharing rows 0..r reuses that state.  Squares
@@ -234,17 +252,17 @@ def _reduced_squares(n: int, row1: tuple) -> Iterator[tuple[list, int]]:
     full = (1 << n * n) - 1
     last = n - 1
 
-    def fill(r: int, used: int, h: int) -> Iterator[tuple[list, int]]:
-        for code, row, text in options[r]:
+    def fill(r: int, used: int, h: int, uniform: bool) -> Iterator[tuple[tuple, int, bool]]:
+        for code, row, text, flag in options[r]:
             if not code & used:
                 square[r] = row
                 if r < last - 1:
-                    yield from fill(r + 1, used | code, _fnv_fold(h, text))
+                    yield from fill(r + 1, used | code, _fnv_fold(h, text), uniform and flag)
                 else:
-                    _, square[last], tail = by_code[full ^ used ^ code]
-                    yield list(square), _fnv_fold(h, text + tail)
+                    _, square[last], tail, tail_flag = by_code[full ^ used ^ code]
+                    yield tuple(square), _fnv_fold(h, text + tail), uniform and flag and tail_flag
 
-    yield from fill(0, 0, _fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")))
+    yield from fill(0, 0, _fnv_fold(FNV_OFFSET, f"{n}\n".encode("ascii")), True)
 
 
 def _subtree(task: tuple) -> list[tuple]:
@@ -254,19 +272,22 @@ def _subtree(task: tuple) -> list[tuple]:
 
     Each square is a LoopTable built directly, without validate_table:
     _reduced_squares proves that it yields reduced Latin squares, so the
-    identity is 0.  The tables share the row tuples of _row_codes(n), and
-    pickle sends each distinct row of a subtree once.
+    identity is 0.  A square with a row that fails _uniform is not a group,
+    so the associativity scan runs only on squares whose rows all pass:
+    1326 of the 9408 at order 6.  The tables share the row tuples of
+    _row_codes(n), and pickle sends each distinct row of a subtree once.
     """
     n, row1, nonassociative, require_s_subgroup = task
     records = []
-    for raw, state in _reduced_squares(n, row1):
-        L = LoopTable(tuple(raw), 0)
-        if nonassociative and L.associative:
+    for table, state, uniform in _reduced_squares(n, row1):
+        L = LoopTable(table, 0)
+        associative = uniform and L.associative
+        if nonassociative and associative:
             continue
         count = len(_s_subgroup_elements(L))
         if require_s_subgroup and count == 0:
             continue
-        records.append((L.table, L.associative, count, state))
+        records.append((table, associative, count, state))
     return records
 
 

@@ -181,8 +181,8 @@ class SubgroupSet:
 
     @classmethod
     def _certified(cls, elements: tuple, parent: LoopTable) -> "SubgroupSet":
-        """A SubgroupSet on sorted elements that _group_violation has passed,
-        built without checking them again (see _s_subgroup_elements)."""
+        """A SubgroupSet on sorted elements known to form a group, such as a
+        set _group_violation has passed, built without checking them again."""
         h = object.__new__(cls)
         object.__setattr__(h, "elements", elements)
         object.__setattr__(h, "parent", parent)
@@ -347,9 +347,9 @@ def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
 
 def subgroups(L: LoopTable) -> list[SubgroupSet]:
     """Every subgroup, sorted by size, then by elements: {e}, then
-    s_subgroups(L), then the whole loop when it is associative."""
-    whole = [SubgroupSet(range(L.n), L)] if L.n > 1 and L.associative else []
-    return [SubgroupSet((L.e,), L)] + s_subgroups(L) + whole
+    s_subgroups(L), then the whole loop when L.associative proves it a group."""
+    whole = [SubgroupSet._certified(tuple(range(L.n)), L)] if L.n > 1 and L.associative else []
+    return [SubgroupSet._certified((L.e,), L)] + s_subgroups(L) + whole
 
 
 def s_subgroups(L: LoopTable) -> list[SubgroupSet]:
@@ -364,28 +364,44 @@ def _s_subgroup_elements(L: LoopTable) -> list[tuple]:
     missed.  A closed subset of a finite group is a subgroup, so each H is
     reached through a chain of its own subgroups {e} < <x1> < <x1, x2> <
     ... < H, while a closed set that is not a group lies in no subgroup and
-    is never extended.  So an x with x*(x*x) != (x*x)*x, or whose closure
-    with e is not a proper subgroup, is never a generator.  Every closed set
-    _close completes is proper, and _group_violation certifies or rejects
-    it once.  An S with 4|S| > n is not extended: any closed K > S has S as
-    a proper subloop, so |K| >= 2|S| > n/2 and K = L (see _close).
+    is never extended.  The first level walks right powers: for x != e with
+    x*(x*x) = (x*x)*x, the walk x, x*x, (x*x)*x, ... reaches e, as y -> y*x
+    is a permutation, and P, the set it visits, lies in the closure C of
+    {e, x}.  If P is a group it is closed, so P = C; if C is a group, P is
+    its cyclic subgroup <x> = C.  So C is a proper subgroup, and x a
+    generator, exactly when P has at most n/2 elements (see _close) and
+    _group_violation certifies it.  Every closed set _close completes from
+    a subgroup and a generator is proper, and each set is certified or
+    rejected once.  An S with 4|S| > n is not extended: any closed K > S
+    has S as a proper subloop, so |K| >= 2|S| > n/2 and K = L.
     """
-    t, n = L.table, L.n
+    t, n, e = L.table, L.n, L.e
     groups = {}  # sorted proper closed set -> whether it is a group
-    generators = []  # each x whose closure with e is a group
-    queue = [({L.e}, range(n))]  # a subgroup to extend, and the x to try
+    generators = []  # each x whose right powers make a subgroup
+    for x in range(n):
+        xx = t[x][x]
+        if x == e or t[x][xx] != t[xx][x]:
+            continue
+        p, powers = x, [e]
+        while p != e and len(powers) < n // 2:
+            powers.append(p)
+            p = t[p][x]
+        if p == e:
+            key = tuple(sorted(powers))
+            if key not in groups:
+                groups[key] = _group_violation(L, set(key), key) is None
+            if groups[key]:
+                generators.append(x)
+    queue = [set(s) for s, group in groups.items() if group and 4 * len(s) <= n]
     while queue:
-        s, xs = queue.pop()
-        for x in xs:
-            xx = t[x][x]
-            if x not in s and t[x][xx] == t[xx][x] and _close(t, n, closed := set(s), x):
+        s = queue.pop()
+        for x in generators:
+            if x not in s and _close(t, n, closed := set(s), x):
                 key = tuple(sorted(closed))
                 if key not in groups:
                     groups[key] = _group_violation(L, closed, key) is None
                     if groups[key] and 4 * len(key) <= n:
-                        queue.append((closed, generators))
-                if groups[key] and len(s) == 1:  # s = {e}, done before any other s
-                    generators.append(x)
+                        queue.append(closed)
     return sorted((s for s, group in groups.items() if group), key=lambda s: (len(s), s))
 
 

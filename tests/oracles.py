@@ -56,6 +56,21 @@ def brute_first_nonassociative(L):
     return None
 
 
+def cycle_type(perm):
+    """The sorted lengths of perm's cycles, one per cycle, from the cycle
+    decomposition: each unvisited point opens a cycle, followed to its end."""
+    lengths, seen = [], [False] * len(perm)
+    for x in range(len(perm)):
+        if not seen[x]:
+            cycle = [x]
+            seen[x] = True
+            while not seen[perm[cycle[-1]]]:
+                cycle.append(perm[cycle[-1]])
+                seen[cycle[-1]] = True
+            lengths.append(len(cycle))
+    return sorted(lengths)
+
+
 def group_axiom_violation(perms):
     """Closure/identity/inverse check on image tuples, no Perm involved."""
     members = sorted({tuple(p) for p in perms})

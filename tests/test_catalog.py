@@ -33,7 +33,7 @@ from loopforge.catalog import INDEX_NAME
 from loopforge.isotopy import law_holds
 
 from conftest import has_children
-from oracles import count_reduced_squares_colmajor, fnv64, relabel
+from oracles import brute_associative, count_reduced_squares_colmajor, cycle_type, fnv64, relabel
 
 
 @contextlib.contextmanager
@@ -101,7 +101,7 @@ def _structured_and_order_7_loops() -> list:
     squares = [
         raw
         for row1 in rng.sample(catalog._second_rows(7), 20)
-        for raw, _ in itertools.islice(catalog._reduced_squares(7, row1), 500)
+        for raw, _, _ in itertools.islice(catalog._reduced_squares(7, row1), 500)
     ]
     return [z2_cubed, z2_z4, cyclic_loop(8), *map(validate_table, rng.sample(squares, 200))]
 
@@ -229,6 +229,34 @@ class TestGeneration:
             ]
             assert len(scan) == count
             assert catalog._second_rows(n) == scan
+
+    def test_uniform_matches_the_cycle_type_oracle(self):
+        for n in range(1, 7):
+            for row in itertools.permutations(range(n)):
+                assert catalog._uniform(row) == (len(set(cycle_type(row))) == 1), row
+
+    def test_every_row_of_a_group_is_uniform(self, z2_cubed, z2_z4):
+        groups = [cyclic_loop(8), z2_z4, z2_cubed]
+        groups += [
+            e.loop for n in range(2, 7) for e in generate_loops(n, allow_order_six=True)
+            if brute_associative(e.loop)
+        ]
+        assert len(groups) == 3 + 1 + 1 + 4 + 6 + 80
+        for L in groups:
+            assert all(map(catalog._uniform, L.table)), L.table
+
+    def test_a_square_with_a_failing_row_is_not_associative(self):
+        # The generator runs the associativity scan only where every row
+        # passes, 1326 of the 9408 squares of order 6.
+        for n in range(2, 7):
+            squares = [
+                sq for row1 in catalog._second_rows(n) for sq in catalog._reduced_squares(n, row1)
+            ]
+            for table, _, uniform in squares:
+                assert uniform == all(map(catalog._uniform, table)), table
+                if not uniform:
+                    assert not brute_associative(validate_table(table)), table
+        assert sum(uniform for _, _, uniform in squares) == 1326
 
     def test_stream_is_pinned(self):
         # Every entry of orders 2-6, in stream order: ids, tables and flags.

@@ -13,6 +13,7 @@ from loopforge import (
     ParseError,
     SLoopContext,
     SubgroupSet,
+    content_id,
     cyclic_loop,
     format_table,
     generate_loops,
@@ -266,6 +267,42 @@ class TestSubgroups:
             assert set(found) <= set(built)
         assert [h.elements for h in subgroups(validate_table([[0]]))] == [(0,)]
         assert [h.elements for h in subgroups(cyclic_loop(2))] == [(0,), (0, 1)]
+
+    def test_right_powers_are_certified_before_they_count(self):
+        # x = 2 passes x*(x*x) = (x*x)*x, and its right powers 2, 2*2 = 4,
+        # 4*2 = 0 reach e within n/2 elements, but 4*4 = 3: {0, 2, 4} is not
+        # closed, so it is no subgroup.
+        L = validate_table(
+            [
+                [0, 1, 2, 3, 4, 5],
+                [1, 0, 3, 2, 5, 4],
+                [2, 3, 4, 5, 0, 1],
+                [3, 2, 5, 4, 1, 0],
+                [4, 5, 0, 1, 3, 2],
+                [5, 4, 1, 0, 2, 3],
+            ]
+        )
+        assert content_id(L) == "cee874bdb534a005"
+        t = L.table
+        assert (t[2][4], t[4][2], t[2][2], t[4][4]) == (0, 0, 4, 3)
+        found = [h.elements for h in s_subgroups(L)]
+        assert found == [s for s in brute_subgroups(L) if 1 < len(s) < L.n] == [(0, 1)]
+
+    def test_subgroups_takes_the_whole_group_from_the_associativity_flag(
+        self, z2_cubed, monkeypatch
+    ):
+        sizes = []
+        real = loop_core._group_violation
+
+        def certify(parent, sset, s):
+            sizes.append(len(s))
+            return real(parent, sset, s)
+
+        monkeypatch.setattr(loop_core, "_group_violation", certify)
+        for L in (cyclic_loop(12), z2_cubed):
+            sizes.clear()
+            assert [h.elements for h in subgroups(L)] == brute_subgroups(L)
+            assert sizes and L.n not in sizes
 
     def test_order_7_loop_with_a_z3_subgroup(self):
         L = validate_table(
