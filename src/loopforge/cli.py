@@ -172,18 +172,6 @@ def _outcome(doc: dict, rows: list[tuple]) -> tuple:
     return ("fail" if _failed(rows) else "ok", json.dumps(doc, indent=2) + "\n", summary)
 
 
-def _worker(job: tuple) -> tuple:
-    """(status, report text or None, summary) for one catalog entry.  An
-    unreadable entry is an error row, so the other entries still run."""
-    path, cap, theorem = job
-    try:
-        return _outcome(*_verify_file(path, cap, theorem))
-    except NotSLoop as exc:
-        return ("skip", None, str(exc))
-    except (LoopforgeError, OSError) as exc:
-        return ("error", None, str(exc))
-
-
 def _verify_class(task: tuple) -> list[tuple]:
     """(status, report text or None, summary) for each member of one
     isomorphism class, in member order.
@@ -196,7 +184,7 @@ def _verify_class(task: tuple) -> list[tuple]:
     proper subgroup is skipped with a message that names no element.  When
     a check on M fails, or M raises another error, each member is verified
     on its own through _verify_file, so a failing detail names the member's
-    own elements.
+    own elements, and a member that raises is an error row.
     """
     table, cap, theorem, members = task
     M = LoopTable(table, 0)
@@ -206,9 +194,14 @@ def _verify_class(task: tuple) -> list[tuple]:
         return [("skip", None, str(exc))] * len(members)
     except LoopforgeError:
         ver = None
-    if ver is None or not ver.all_pass():
-        return [_worker((path, cap, theorem)) for path, _, _ in members]
     results = []
+    if ver is None or not ver.all_pass():
+        for path, _, _ in members:
+            try:
+                results.append(_outcome(*_verify_file(path, cap, theorem)))
+            except (LoopforgeError, OSError) as exc:
+                results.append(("error", None, str(exc)))
+        return results
     for path, entry_id, relabel in members:
         doc = {"file": path, **_document(entry_id, ver, relabel)}
         results.append(_outcome(doc, _select(M, doc, theorem, None)))

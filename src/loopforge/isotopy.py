@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvariantViolation, NotSElements, NotSLoop, SearchCapExceeded
+from .errors import InvariantViolation, NotSElements, SearchCapExceeded
 from .loop_core import (
     LoopTable,
     SLoopContext,
     SubgroupSet,
     _labellings,
     _orders_of,
+    subgroup_violation,
 )
 from .perm import Perm, _inverse_images, compose_images, generators
 
@@ -93,12 +94,10 @@ def smarandache_principal_isotope(ctx: SLoopContext, f: int, g: int) -> SLoopCon
     if f not in ctx.h or g not in ctx.h:
         raise NotSElements(f"({f}, {g}) not inside the subgroup {list(ctx.h.elements)}")
     iso = principal_isotope(ctx.loop, f, g)
-    try:
-        new_h = SubgroupSet(ctx.h.elements, iso)
-    except NotSLoop as exc:
-        violation = str(exc).removeprefix("not a subgroup: ")
-        raise InvariantViolation(f"subgroup lost under isotopy: {violation}") from None
-    return SLoopContext(iso, new_h)
+    violation = subgroup_violation(iso, ctx.h)
+    if violation is not None:
+        raise InvariantViolation(f"subgroup lost under isotopy: {violation}")
+    return SLoopContext(iso, SubgroupSet._certified(ctx.h.elements, iso))
 
 
 def autotopism_group(L: LoopTable, cap: int = DEFAULT_SEARCH_CAP) -> list[Autotopism]:

@@ -8,9 +8,10 @@ instance is a loop; associativity is recorded but not required.
 from __future__ import annotations
 
 import collections
+import contextlib
 from typing import Iterable, Sequence
 
-from .errors import NoIdentity, NotLatin, NotSLoop, NotSquare, ParseError
+from .errors import InvariantViolation, NoIdentity, NotLatin, NotSLoop, NotSquare, ParseError
 from .perm import _inverse_images
 
 
@@ -117,18 +118,17 @@ def _associative(rows: tuple, e: int) -> bool:
 
 
 def subgroup_violation(L: LoopTable, elements: Iterable[int]) -> str | None:
-    """Why the subset fails to be a group under L's operation, or None."""
+    """Why the subset fails to be a group under L's operation, or None: the
+    one subset certifier, which checks types before it sorts the elements."""
     sset = set(elements)
-    return _violation(L, sset, sorted(sset))
-
-
-def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
-    """subgroup_violation for a subset given as a set and as sorted(set)."""
-    if not s:
+    if not sset:
         return "empty subset"
-    bad = [x for x in s if not isinstance(x, int) or isinstance(x, bool)]  # as validate_table
+    bad = [x for x in sset if not isinstance(x, int) or isinstance(x, bool)]  # as validate_table
     if bad:
+        with contextlib.suppress(TypeError):  # listed in order when they compare
+            bad.sort()
         return f"non-integer elements: {bad}"
+    s = sorted(sset)
     if s[0] < 0 or s[-1] >= L.n:
         return f"elements outside 0..{L.n - 1}: {s}"
     if L.e not in sset:
@@ -137,7 +137,7 @@ def _violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
 
 
 def _group_violation(L: LoopTable, sset: set, s: Sequence[int]) -> str | None:
-    """_violation for a subset of L's elements that holds its identity."""
+    """subgroup_violation for a subset of L's elements that holds its identity."""
     t, e = L.table, L.e
     for a in s:
         ra = t[a]
@@ -173,11 +173,10 @@ class SubgroupSet:
 
     def __new__(cls, elements: Iterable[int], parent: LoopTable):
         sset = set(elements)
-        s = tuple(sorted(sset))
-        violation = _violation(parent, sset, s)
+        violation = subgroup_violation(parent, sset)
         if violation is not None:
             raise NotSLoop(f"not a subgroup: {violation}")
-        return cls._certified(s, parent)
+        return cls._certified(tuple(sorted(sset)), parent)
 
     @classmethod
     def _certified(cls, elements: tuple, parent: LoopTable) -> "SubgroupSet":
@@ -406,16 +405,17 @@ def _s_subgroup_elements(L: LoopTable) -> list[tuple]:
 
 
 def middle_nucleus(L: LoopTable) -> SubgroupSet:
-    """Elements g with (x*g)*y = x*(g*y) for all x, y."""
+    """Elements g with (x*g)*y = x*(g*y) for all x, y, compared a whole row
+    of y at a time, as in _associative.  The members must form a subgroup;
+    a set that does not raises InvariantViolation."""
     t = L.table
-    n = L.n
-    members = []
-    for g in range(n):
-        col = [t[x][g] for x in range(n)]
-        row = t[g]
-        if all(t[col[x]][y] == t[x][row[y]] for x in range(n) for y in range(n)):
-            members.append(g)
-    return SubgroupSet(tuple(members), L)
+    members = tuple(
+        g for g in range(L.n) if all(t[rx[g]] == tuple(map(rx.__getitem__, t[g])) for rx in t)
+    )
+    violation = subgroup_violation(L, members)
+    if violation is not None:
+        raise InvariantViolation(f"middle nucleus is not a subgroup: {violation}")
+    return SubgroupSet._certified(members, L)
 
 
 class SLoopContext(collections.namedtuple("SLoopContext", "loop h")):

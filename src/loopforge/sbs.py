@@ -280,8 +280,8 @@ def _not_isotopic(f: int, g: int) -> CheckResult:
 
 def _t12(b: _Base, s: _Subgroup) -> CheckResult:
     """Subgroup-parameter isotopes keep H as a subgroup."""
-    # principal_isotope already raised on a non-loop or a wrong identity, and
-    # the isotopy check pins the table: a record of another pair cannot pass.
+    # principal_isotope builds the table unvalidated and raises nothing; the
+    # isotopy check pins the table: a record of another pair cannot pass.
     for (f, g), p, _ in s.isos:
         if not p.isotopic:
             return _not_isotopic(f, g)

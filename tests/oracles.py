@@ -39,6 +39,15 @@ def brute_subgroups(L):
     return found
 
 
+def brute_middle_nucleus(L):
+    """Every g with (x*g)*y = x*(g*y) for all x, y, product by product."""
+    r = range(L.n)
+    return tuple(
+        g for g in r
+        if all(mul(L, mul(L, x, g), y) == mul(L, x, mul(L, g, y)) for x in r for y in r)
+    )
+
+
 def brute_associative(L):
     """Triple scan of (x*y)*z = x*(y*z)."""
     return brute_first_nonassociative(L) is None

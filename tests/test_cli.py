@@ -11,6 +11,7 @@ from loopforge import (
     CHECK_KEYS,
     DEFAULT_SEARCH_CAP,
     InvariantViolation,
+    NotSLoop,
     canonical_form,
     content_id,
     cyclic_loop,
@@ -21,7 +22,7 @@ from loopforge import (
     write_catalog,
     write_table,
 )
-from loopforge import catalog, cli, sbs
+from loopforge import catalog, cli, loop_core, sbs
 from loopforge.cli import main
 
 from oracles import relabel
@@ -401,13 +402,37 @@ class TestVerifyDir:
         assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
         assert "identity missing" in doc["entries"][0]["summary"]
 
+    def test_a_failed_nucleus_certificate_is_an_error_not_a_skip(
+        self, catalog_dir, monkeypatch, capsys
+    ):
+        # Planted: the group check rejects every whole-loop set, so each
+        # order-4 loop's nucleus, the whole loop, fails its certificate.
+        # Only a loop with no proper subgroup is a skip.
+        real = loop_core._group_violation
+
+        def planted(L, sset, s):
+            return "planted" if len(s) == L.n else real(L, sset, s)
+
+        monkeypatch.setattr(loop_core, "_group_violation", planted)
+        capsys.readouterr()
+        assert main(["verify", "--json", str(catalog_dir)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"] == {"ok": 0, "fail": 0, "skip": 0, "error": 4}
+        assert {row["summary"] for row in doc["entries"]} == {
+            "middle nucleus is not a subgroup: planted"
+        }
+
 
 def _per_file(target) -> tuple[list, dict]:
     """The verify DIR --json rows and the report texts that verifying each
-    entry of target on its own gives."""
+    entry of target on its own gives; a loop with no proper subgroup is a
+    skip."""
     rows, texts = [], {}
     for entry_id, path in iter_catalog(target):
-        status, text, summary = cli._worker((str(path), DEFAULT_SEARCH_CAP, "all"))
+        try:
+            status, text, summary = cli._outcome(*cli._verify_file(str(path), DEFAULT_SEARCH_CAP))
+        except NotSLoop as exc:
+            status, text, summary = "skip", None, str(exc)
         rows.append({"id": entry_id, "status": status, "summary": summary})
         if text is not None:
             texts[f"{entry_id}.report.json"] = text

@@ -110,15 +110,16 @@ class TestSmarandacheIsotope:
             smarandache_principal_isotope(z4_ctx, 0, 2)
 
     def test_each_context_certifies_its_subgroup_once(self, z4, monkeypatch):
-        # subgroup_violation and SubgroupSet both run the shared core.
+        # SubgroupSet certifies through subgroup_violation, and both end in
+        # the one group check.
         calls = []
-        real = loop_core._violation
+        real = loop_core._group_violation
 
         def counted(L, sset, s):
             calls.append(tuple(s))
             return real(L, sset, s)
 
-        monkeypatch.setattr(loop_core, "_violation", counted)
+        monkeypatch.setattr(loop_core, "_group_violation", counted)
         ctx = s_loop_context(z4, [0, 2])
         assert calls == [(0, 2)]
         calls.clear()

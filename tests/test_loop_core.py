@@ -6,6 +6,7 @@ from enum import IntEnum
 import pytest
 
 from loopforge import (
+    InvariantViolation,
     NoIdentity,
     NotLatin,
     NotSLoop,
@@ -29,7 +30,12 @@ from loopforge import (
     verify_theorems,
 )
 
-from oracles import brute_associative, brute_first_nonassociative, brute_subgroups
+from oracles import (
+    brute_associative,
+    brute_first_nonassociative,
+    brute_middle_nucleus,
+    brute_subgroups,
+)
 
 
 class TestValidation:
@@ -133,7 +139,9 @@ class TestSubgroups:
 
     def test_matches_powerset_oracle(self, z4, z5, klein, n5, loop_3x3_shifted, z2_cubed, m_s3):
         # Above order 6 the loops hold subgroups S with 4|S| > n, from which
-        # no join is tried; the isotopes have identities other than 0.
+        # no join is tried; the isotopes have identities other than 0.  At
+        # order 16 joins of joined subgroups are joined again, which no
+        # smaller loop here needs.
         isotopes = [principal_isotope(L, f, g)
                     for L, pairs in ((z2_cubed, ((1, 2), (3, 5), (6, 7), (7, 6), (4, 4), (5, 1))),
                                      (m_s3, ((1, 2), (3, 5), (6, 7), (7, 6), (9, 11), (11, 4))))
@@ -142,6 +150,13 @@ class TestSubgroups:
         for L in (z4, z5, klein, n5, loop_3x3_shifted, cyclic_loop(8), cyclic_loop(9), z2_cubed,
                   m_s3, _u_times_z2(), cyclic_loop(12), *isotopes):
             assert [h.elements for h in subgroups(L)] == brute_subgroups(L)
+        z2_fourth = validate_table([[x ^ y for y in range(16)] for x in range(16)])
+        z4_z4 = validate_table([[(x + y) & 3 | (x + (y & 12)) & 12 for y in range(16)]
+                                for x in range(16)])
+        for L, count in ((z2_fourth, 67), (z4_z4, 15)):
+            found = [h.elements for h in subgroups(L)]
+            assert found == brute_subgroups(L)
+            assert len(found) == count and len(s_subgroups(L)) == count - 2
 
     def test_matches_powerset_oracle_on_every_loop_up_to_order_6(self):
         for n in range(2, 6):
@@ -327,6 +342,11 @@ class TestSubgroups:
         assert "empty" in subgroup_violation(z4, [])
         assert "outside" in subgroup_violation(z4, [0, 9])
         assert "non-integer" in subgroup_violation(z4, [0, 2.0])
+        # The types are checked before the elements are sorted.
+        assert subgroup_violation(z4, ["a", 0]) == "non-integer elements: ['a']"
+        assert subgroup_violation(z4, [3.0, 0, 2.0]) == "non-integer elements: [2.0, 3.0]"
+        # Values that do not compare are listed in no particular order.
+        assert subgroup_violation(z4, [None, "a", 0]).startswith("non-integer elements: [")
         assert subgroup_violation(z4, [0, 1, 2, 3]) is None
         assert subgroup_violation(z4, [0, 3]) is not None
 
@@ -342,14 +362,32 @@ class TestMiddleNucleus:
     def test_n5_nucleus_is_trivial(self, n5):
         assert middle_nucleus(n5).elements == (0,)
 
-    def test_nucleus_definition(self, n5):
-        nuc = set(middle_nucleus(n5).elements)
-        t = n5.table
-        for g in range(5):
-            holds = all(
-                t[t[x][g]][y] == t[x][t[g][y]] for x in range(5) for y in range(5)
-            )
-            assert (g in nuc) == holds
+    def test_nucleus_definition(self):
+        # The isotopes have identities other than 0, and many are not
+        # associative.
+        for n in range(2, 6):
+            for entry in generate_loops(n):
+                for f in range(n):
+                    for g in range(n):
+                        M = principal_isotope(entry.loop, f, g)
+                        assert middle_nucleus(M).elements == brute_middle_nucleus(M)
+
+    def test_a_nucleus_that_is_no_subgroup_is_an_invariant_violation(self, z4, monkeypatch):
+        # Planted: the group check rejects every whole-loop set, such as
+        # Z4's nucleus.  That is an internal fault, not a loop without a
+        # proper subgroup, so it raises InvariantViolation, not NotSLoop.
+        real = loop_core._group_violation
+
+        def planted(L, sset, s):
+            return "planted" if len(s) == L.n else real(L, sset, s)
+
+        monkeypatch.setattr(loop_core, "_group_violation", planted)
+        with pytest.raises(
+            InvariantViolation, match=r"^middle nucleus is not a subgroup: planted$"
+        ):
+            middle_nucleus(z4)
+        with pytest.raises(InvariantViolation, match="middle nucleus is not a subgroup"):
+            verify_theorems(z4)
 
 
 class TestSLoopContext:
@@ -384,6 +422,11 @@ class TestSLoopContext:
             s_loop_context(z4, [0, 2.0])
         with pytest.raises(NotSLoop, match=r"^not a subgroup: non-integer elements: \[True\]$"):
             SubgroupSet((0, True), z4)
+        # Values that do not sort with ints are rejected the same way.
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: non-integer elements: \['a'\]$"):
+            SubgroupSet(["a", 0], z4)
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: non-integer elements: \[None\]$"):
+            s_loop_context(z4, [0, None])
 
     def test_subgroup_set_is_a_value(self, z4, klein):
         h = SubgroupSet((2, 0, 2), z4)

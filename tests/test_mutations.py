@@ -283,6 +283,22 @@ def test_theta_checks_catch_a_lost_pair(key, name, monkeypatch):
     assert set(_statuses(name, key)) == {"fail"}
 
 
+@pytest.mark.parametrize(
+    "name, lost, detail",
+    [("n5", lambda: cyclic_loop(5), "not closed: 1*1 = 2"),
+     ("Z4", lambda: validate_table(relabel(cyclic_loop(4), (0, 2, 1, 3))), "not closed: 2*2 = 1")],
+)
+def test_t12_catches_an_isotope_that_lost_the_subgroup(name, lost, detail, monkeypatch):
+    # Each pair keeps its isotopy verdict but gets a table in which H, the
+    # loop's one subgroup, is not closed.
+    def with_lost_isotopes(isos):
+        return [(pair, p._replace(isotope=lost()), kept) for pair, p, kept in isos]
+
+    _patch_pairs(monkeypatch, with_lost_isotopes)
+    (rep,) = verify_theorems(LOOPS[name]()).reports
+    assert rep.checks["t12"] == ("fail", f"isotope (0,0) lost the subgroup: {detail}")
+
+
 def test_c11_catches_a_skipped_stabilizer_filter(monkeypatch):
     # Every W of BS then passes the one W(H) = H test, and so does every
     # automorphism and isomorphism; c11 tests SBS against H on its own.
