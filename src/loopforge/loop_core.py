@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, NoIdentity, NotLatin, NotSLoop, NotSquare, ParseError
 from .perm import _inverse_images
@@ -119,15 +119,22 @@ def _associative(rows: tuple, e: int) -> bool:
 
 def subgroup_violation(L: LoopTable, elements: Iterable[int]) -> str | None:
     """Why the subset fails to be a group under L's operation, or None: the
-    one subset certifier, which checks types before it sorts the elements."""
-    sset = set(elements)
-    if not sset:
-        return "empty subset"
-    bad = [x for x in sset if not isinstance(x, int) or isinstance(x, bool)]  # as validate_table
+    one subset certifier, which checks types before it hashes or sorts the
+    elements, so that any argument gets a verdict."""
+    try:
+        items = iter(elements)
+    except TypeError:
+        return f"not iterable: {elements!r}"
+    items = list(items)
+    bad = [x for x in items if not isinstance(x, int) or isinstance(x, bool)]  # as validate_table
     if bad:
-        with contextlib.suppress(TypeError):  # listed in order when they compare
-            bad.sort()
+        with contextlib.suppress(TypeError):
+            bad = list(dict.fromkeys(bad))  # each value once when they hash,
+            bad.sort()  # and in order when they also compare
         return f"non-integer elements: {bad}"
+    if not items:
+        return "empty subset"
+    sset = set(items)
     s = sorted(sset)
     if s[0] < 0 or s[-1] >= L.n:
         return f"elements outside 0..{L.n - 1}: {s}"
@@ -172,11 +179,12 @@ class SubgroupSet:
     __slots__ = ("elements", "parent")
 
     def __new__(cls, elements: Iterable[int], parent: LoopTable):
-        sset = set(elements)
-        violation = subgroup_violation(parent, sset)
+        if isinstance(elements, Iterator):  # read once
+            elements = list(elements)
+        violation = subgroup_violation(parent, elements)
         if violation is not None:
             raise NotSLoop(f"not a subgroup: {violation}")
-        return cls._certified(tuple(sorted(sset)), parent)
+        return cls._certified(tuple(sorted(set(elements))), parent)
 
     @classmethod
     def _certified(cls, elements: tuple, parent: LoopTable) -> "SubgroupSet":
@@ -246,34 +254,6 @@ def _orders_of(L: LoopTable) -> tuple:
     return L._orders
 
 
-def _close(t: tuple, n: int, elems: set, x: int) -> bool:
-    """Grow the closed set elems in place to the smallest closed superset of
-    elems | {x}; False, leaving elems part grown, as soon as it has more
-    than n/2 elements.
-
-    Products of two old elements already lie in elems, so each round
-    multiplies only by the elements the round before added.  A closed
-    subset S of a finite loop is a subloop: for a in S, y -> a*y maps S
-    into, so onto, itself.  A proper subloop H of a loop K has |H| <= |K|/2:
-    for z in K outside H the products h*z, h in H, are distinct, and none
-    lies in H, since h*z in H would put z = h\\(h*z) in H.
-    """
-    elems.add(x)
-    frontier = [x]
-    while frontier:
-        if 2 * len(elems) > n:
-            return False
-        fresh = set()
-        for b in frontier:
-            rb = t[b]
-            for a in elems:
-                fresh.add(t[a][b])
-                fresh.add(rb[a])
-        frontier = fresh - elems
-        elems |= frontier
-    return True
-
-
 def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
     """(M, phis): the least table M = phi(L) over the labellings phi below,
     and every phi that reaches it, as image lists in search order; phi(e)
@@ -289,10 +269,11 @@ def _labellings(L: LoopTable) -> tuple[tuple, list[list]]:
     the whole loop, each element outside it in turn is appended and the
     sequence closed again.  Each complete sequence s gives phi[s_k] = k,
     and phi(L) is built row by row up to the first row above M's so far.
-    Each generator at least doubles the subloop (see _close), so there
-    are at most floor(log2 n) generators and (n-1)*n^(floor(log2 n)-1)
-    sequences.  An isomorphism psi keeps power orders and products, so it
-    carries the sequences of L onto those of psi(L) label for label.
+    Each generator at least doubles the subloop (a proper subloop has at
+    most half the elements, see _s_subgroup_elements), so there are at most
+    floor(log2 n) generators and (n-1)*n^(floor(log2 n)-1) sequences.  An
+    isomorphism psi keeps power orders and products, so it carries the
+    sequences of L onto those of psi(L) label for label.
 
     phis is phis[0] o Aut(L) (B. D. McKay, "Practical graph isomorphism",
     1981): if phi(L) = phi'(L) = M, then phi'^-1 o phi is in Aut(L), and
@@ -363,19 +344,23 @@ def _s_subgroup_elements(L: LoopTable) -> list[tuple]:
     missed.  A closed subset of a finite group is a subgroup, so each H is
     reached through a chain of its own subgroups {e} < <x1> < <x1, x2> <
     ... < H, while a closed set that is not a group lies in no subgroup and
-    is never extended.  The first level walks right powers: for x != e with
-    x*(x*x) = (x*x)*x, the walk x, x*x, (x*x)*x, ... reaches e, as y -> y*x
-    is a permutation, and P, the set it visits, lies in the closure C of
-    {e, x}.  If P is a group it is closed, so P = C; if C is a group, P is
-    its cyclic subgroup <x> = C.  So C is a proper subgroup, and x a
-    generator, exactly when P has at most n/2 elements (see _close) and
-    _group_violation certifies it.  Every closed set _close completes from
-    a subgroup and a generator is proper, and each set is certified or
-    rejected once.  An S with 4|S| > n is not extended: any closed K > S
-    has S as a proper subloop, so |K| >= 2|S| > n/2 and K = L.
+    is never extended.  Each candidate is P, the right orbit of e under a
+    subgroup S and a generator x: the elements y*g reached from e with g in
+    S | {x}.  P lies in C, the closure of S | {x}.  If P is a group it is
+    closed, so P = C; if C is a group, a right Cayley walk from e reaches
+    all of <S, x> = C, so P = C.  A proper subloop H of a loop K has |H| <=
+    |K|/2: for z in K outside H the products h*z, h in H, are distinct, and
+    none lies in H, since h*z in H would put z = h\\(h*z) in H.  So C is a
+    proper subgroup, and x a generator of it over S, exactly when P has at
+    most n/2 elements and _group_violation certifies it, once per set.  The
+    first level, S = {e}, walks the right powers x, x*x, (x*x)*x, ..., which
+    return to e, as y -> y*x is a permutation; it tries only the x with
+    x*(x*x) = (x*x)*x, which holds in every group.  An S with 4|S| > n is
+    not extended: any closed K > S has S as a proper subloop, so |K| >=
+    2|S| > n/2 and K = L.
     """
     t, n, e = L.table, L.n, L.e
-    groups = {}  # sorted proper closed set -> whether it is a group
+    groups = {}  # sorted candidate -> whether it is a group
     generators = []  # each x whose right powers make a subgroup
     for x in range(n):
         xx = t[x][x]
@@ -391,16 +376,28 @@ def _s_subgroup_elements(L: LoopTable) -> list[tuple]:
                 groups[key] = _group_violation(L, set(key), key) is None
             if groups[key]:
                 generators.append(x)
-    queue = [set(s) for s, group in groups.items() if group and 4 * len(s) <= n]
+    queue = [s for s, group in groups.items() if group and 4 * len(s) <= n]
     while queue:
         s = queue.pop()
         for x in generators:
-            if x not in s and _close(t, n, closed := set(s), x):
-                key = tuple(sorted(closed))
+            if x in s:
+                continue
+            factors, orbit, seen = s + (x,), [e], {e}
+            for y in orbit:
+                row = t[y]
+                for g in factors:
+                    z = row[g]
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+                if 2 * len(orbit) > n:
+                    break
+            else:
+                key = tuple(sorted(orbit))
                 if key not in groups:
-                    groups[key] = _group_violation(L, closed, key) is None
+                    groups[key] = _group_violation(L, seen, key) is None
                     if groups[key] and 4 * len(key) <= n:
-                        queue.append(closed)
+                        queue.append(key)
     return sorted((s for s, group in groups.items() if group), key=lambda s: (len(s), s))
 
 
@@ -438,7 +435,7 @@ class SLoopContext(collections.namedtuple("SLoopContext", "loop h")):
 
 def s_loop_context(L: LoopTable, elements: Iterable[int]) -> SLoopContext:
     """Validate elements as a proper non-trivial subgroup and pair it with L."""
-    return SLoopContext(L, SubgroupSet(tuple(elements), L))
+    return SLoopContext(L, SubgroupSet(elements, L))
 
 
 def format_row(row: Sequence[int]) -> str:

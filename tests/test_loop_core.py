@@ -123,6 +123,16 @@ def _u_times_z2():
                            for x in range(10)])
 
 
+def _z2_fourth():
+    return validate_table([[x ^ y for y in range(16)] for x in range(16)])
+
+
+def _z4_z4():
+    """Z4 x Z4 on 0..15, as (a, b) -> 4a + b."""
+    return validate_table([[(x + y) & 3 | (x + (y & 12)) & 12 for y in range(16)]
+                           for x in range(16)])
+
+
 class TestSubgroups:
     def test_z4_subgroups(self, z4):
         assert [h.elements for h in subgroups(z4)] == [(0,), (0, 2), (0, 1, 2, 3)]
@@ -150,10 +160,7 @@ class TestSubgroups:
         for L in (z4, z5, klein, n5, loop_3x3_shifted, cyclic_loop(8), cyclic_loop(9), z2_cubed,
                   m_s3, _u_times_z2(), cyclic_loop(12), *isotopes):
             assert [h.elements for h in subgroups(L)] == brute_subgroups(L)
-        z2_fourth = validate_table([[x ^ y for y in range(16)] for x in range(16)])
-        z4_z4 = validate_table([[(x + y) & 3 | (x + (y & 12)) & 12 for y in range(16)]
-                                for x in range(16)])
-        for L, count in ((z2_fourth, 67), (z4_z4, 15)):
+        for L, count in ((_z2_fourth(), 67), (_z4_z4(), 15)):
             found = [h.elements for h in subgroups(L)]
             assert found == brute_subgroups(L)
             assert len(found) == count and len(s_subgroups(L)) == count - 2
@@ -259,6 +266,8 @@ class TestSubgroups:
     def test_s_subgroups_certifies_only_proper_nontrivial_sets(self, z2_cubed, n5, monkeypatch):
         # Z6 with the intercalate on rows and columns {1, 4} switched
         # (2 <-> 5): {0, 3} keeps its table, {0, 2, 4} is no longer closed.
+        # (Z2)^4 and Z4 x Z4 join joined subgroups again, so their right
+        # orbits are certified past the first level.
         rows = [list(r) for r in cyclic_loop(6).table]
         for r, c in ((1, 1), (1, 4), (4, 1), (4, 4)):
             rows[r][c] = {2: 5, 5: 2}[rows[r][c]]
@@ -273,11 +282,11 @@ class TestSubgroups:
             return real(parent, sset, s)
 
         monkeypatch.setattr(loop_core, "_group_violation", certify)
-        for L in (cyclic_loop(6), z2_cubed, n5, switched):
+        for L in (cyclic_loop(6), z2_cubed, n5, switched, _z2_fourth(), _z4_z4()):
             built.clear()
             found = [h.elements for h in s_subgroups(L)]
             assert found == [s for s in brute_subgroups(L) if 1 < len(s) < L.n]
-            assert [s for s in built if len(s) in (1, L.n)] == []
+            assert [s for s in built if len(s) == 1 or 2 * len(s) > L.n] == []
             assert len(built) == len(set(built))
             assert set(found) <= set(built)
         assert [h.elements for h in subgroups(validate_table([[0]]))] == [(0,)]
@@ -347,6 +356,10 @@ class TestSubgroups:
         assert subgroup_violation(z4, [3.0, 0, 2.0]) == "non-integer elements: [2.0, 3.0]"
         # Values that do not compare are listed in no particular order.
         assert subgroup_violation(z4, [None, "a", 0]).startswith("non-integer elements: [")
+        # Unhashable elements and arguments that are not iterable get a verdict too.
+        assert subgroup_violation(z4, [[0]]) == "non-integer elements: [[0]]"
+        assert subgroup_violation(z4, [[0], 0, [0]]) == "non-integer elements: [[0], [0]]"
+        assert subgroup_violation(z4, 5) == "not iterable: 5"
         assert subgroup_violation(z4, [0, 1, 2, 3]) is None
         assert subgroup_violation(z4, [0, 3]) is not None
 
@@ -427,6 +440,21 @@ class TestSLoopContext:
             SubgroupSet(["a", 0], z4)
         with pytest.raises(NotSLoop, match=r"^not a subgroup: non-integer elements: \[None\]$"):
             s_loop_context(z4, [0, None])
+        # So are unhashable elements and arguments that are not iterable.
+        unhashable = r"^not a subgroup: non-integer elements: \[\[0\]\]$"
+        for elements in ([[0], 0], iter([[0], 0])):
+            with pytest.raises(NotSLoop, match=unhashable):
+                SubgroupSet(elements, z4)
+        for elements in ([[0], 0], iter([[0], 0])):
+            with pytest.raises(NotSLoop, match=unhashable):
+                s_loop_context(z4, elements)
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: not iterable: 7$"):
+            SubgroupSet(7, z4)
+        with pytest.raises(NotSLoop, match=r"^not a subgroup: not iterable: 7$"):
+            s_loop_context(z4, 7)
+        # An iterator is read once.
+        assert SubgroupSet(iter([0, 2]), z4).elements == (0, 2)
+        assert s_loop_context(z4, iter([2, 0])).h.elements == (0, 2)
 
     def test_subgroup_set_is_a_value(self, z4, klein):
         h = SubgroupSet((2, 0, 2), z4)

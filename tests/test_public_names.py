@@ -1,8 +1,11 @@
 """loopforge's public names, pinned so that one enters or leaves only on
 purpose: every attribute without a leading underscore that is not a
-submodule."""
+submodule.  Its private module-level names must each be used elsewhere in
+the package, so that no dead helper stays behind."""
 
+import ast
 import types
+from pathlib import Path
 
 import loopforge
 
@@ -28,3 +31,41 @@ def test_public_names_are_pinned():
     )
     assert names == PUBLIC
 
+
+def _private_names_and_uses():
+    """(defined, used), two sets of (file, top-level statement index, name):
+    each module-level private name the package's modules define, and each
+    name they read, attribute or import."""
+    defined, used = set(), set()
+    for path in sorted(Path(loopforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                names = []
+            defined |= {(path.name, i, n) for n in names
+                        if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add((path.name, i, node.id))
+                elif isinstance(node, ast.Attribute):
+                    used.add((path.name, i, node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    used |= {(path.name, i, alias.name) for alias in node.names}
+    return defined, used
+
+
+def test_every_private_name_is_used_elsewhere_in_src():
+    # A helper that only its own definition mentions is dead code.
+    defined, used = _private_names_and_uses()
+    assert defined
+    dead = sorted(
+        f"{file}: {name}" for file, i, name in defined
+        if not any(n == name and (f, j) != (file, i) for f, j, n in used)
+    )
+    assert dead == []
